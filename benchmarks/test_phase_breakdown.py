@@ -34,7 +34,7 @@ def test_phase_breakdown(run_once, save_result):
         for technique in TECHNIQUES:
             estimator = runner.estimators[technique]
             totals = {"decompose": 0.0, "substructures": 0.0,
-                      "selectivity": 0.0}
+                      "agg": 0.0, "selectivity": 0.0}
             for named in queries:
                 try:
                     result = estimator.estimate(named.query)
@@ -52,12 +52,13 @@ def test_phase_breakdown(run_once, save_result):
                     overall,
                     shares[technique]["decompose"],
                     shares[technique]["substructures"],
+                    shares[technique]["agg"],
                     shares[technique]["selectivity"],
                 ]
             )
         table = render_table(
             ["technique", "total [s]", "decompose", "substructures",
-             "selectivity"],
+             "agg", "selectivity"],
             rows,
             title="share of on-line time per framework phase (LUBM queryset)",
         )

@@ -69,8 +69,8 @@ _TECH_KWARGS: Dict[str, dict] = {
 }
 
 #: techniques whose estimate hot loop is benchmarked (cheap enough to
-#: repeat; sumrdf/bs estimates run for seconds per query and would
-#: dominate the suite without adding substrate signal)
+#: repeat; bs estimates run ~0.1 s per query and would dominate the
+#: suite, and sumrdf's never read the graph substrate)
 _HOT_TECHNIQUES = ("wj", "jsub", "cs")
 
 

@@ -16,22 +16,39 @@ Following the paper's extension, when the summary would exceed a size
 threshold (default 3% of the data graph size) the summarization coarsens:
 first dropping the edge-label signature, then merging different vertex
 labels.  The Human dataset's overestimation (zero edge labels force merged
-buckets to aggregate all edge weights, Section 6.2.1) and the timeout on
-12-edge queries (embedding enumeration in S is exponential, Section 6.2.3)
-both emerge from this construction.
+buckets to aggregate all edge weights, Section 6.2.1) emerges from this
+construction.
+
+The sum is a weighted homomorphism count over the summary, and is
+computed without enumerating embeddings.  Charging each edge's
+``1 / (w(b_u) w(b_v))`` to its endpoints gives a vertex factor
+``w(b_u, L_u) / w(b_u)^deg(u)`` and an edge factor ``k(b_u, b_v, l)``.
+``decompose_query`` picks a small *cut set* of query vertices (the
+max-degree vertex of the skeleton's 2-core, repeatedly, until the rest
+is a forest; a tree query has an empty cut), ``get_substructures``
+enumerates the cut's bucket assignments, and ``est_card`` sums over the
+forest by dynamic programming, in exact rational arithmetic that
+``agg_card`` rounds once.  The paper's
+implementation enumerates every summary embedding, which is what makes
+it time out on 12-edge queries (Section 6.2.3); this one returns the
+same estimate in milliseconds.  ``max_embeddings`` caps the number of
+cut assignments; an estimate it cuts short reports ``truncated``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import (
+    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..core.framework import Estimator
 from ..graph.delta import Delta, DeltaSummary
 from ..graph.digraph import Graph
 from ..graph.query import QueryGraph
 
-Embedding = Tuple[int, ...]  # query vertex index -> bucket id
+CutAssignment = Tuple[int, ...]  # buckets of the cut vertices, in order
 
 
 @dataclass
@@ -111,8 +128,9 @@ class SumRDF(Estimator):
         **kwargs,
     ) -> None:
         """``size_threshold`` caps the summary size at that fraction of
-        ``|E_G|``; ``max_embeddings`` bounds summary-embedding enumeration
-        (a secondary guard next to the wall-clock ``time_limit``)."""
+        ``|E_G|``; ``max_embeddings`` bounds the enumerated substructures
+        (cut assignments; a secondary guard next to the wall-clock
+        ``time_limit``)."""
         super().__init__(graph, **kwargs)
         self.size_threshold = size_threshold
         self.max_embeddings = max_embeddings
@@ -121,9 +139,12 @@ class SumRDF(Estimator):
         #: every coarsening level the last prepare evaluated, maintained
         #: through update_summary so budget re-selection stays exact
         self._levels: List[_LevelState] = []
-        # observability: work done by the current estimate
+        # observability: work done by the current estimate — cut
+        # assignments enumerated, candidate buckets scanned (by the cut
+        # enumeration and the forest DP), and whether the cap cut it short
         self._summary_embeddings = 0
         self._buckets_scanned = 0
+        self._truncated = False
 
     # ------------------------------------------------------------------
     # PrepareSummaryStructure
@@ -421,56 +442,48 @@ class SumRDF(Estimator):
     # ------------------------------------------------------------------
     # DecomposeQuery / GetSubstructure / EstCard / AggCard
     # ------------------------------------------------------------------
-    def decompose_query(self, query: QueryGraph) -> Sequence[QueryGraph]:
+    def decompose_query(self, query: QueryGraph) -> Sequence[_CutPlan]:
+        """One subquery: the whole query, split into a cut set and the
+        forest that remains."""
         self._summary_embeddings = 0
         self._buckets_scanned = 0
-        return [query]
+        self._truncated = False
+        return [_cut_plan(query)]
 
     def get_substructures(
-        self, query: QueryGraph, subquery: QueryGraph
-    ) -> Iterator[Embedding]:
-        """Enumerate homomorphic embeddings of the query in the summary."""
+        self, query: QueryGraph, plan: _CutPlan
+    ) -> Iterator[CutAssignment]:
+        """Enumerate bucket assignments of the query's cut set.
+
+        Stops after ``max_embeddings`` assignments; if a further one
+        existed, the estimate is marked truncated.
+        """
         summary = self.summary
         assert summary is not None
-        order = self._matching_order(subquery)
-        assignment: Dict[int, int] = {}
-        yield from self._match(subquery, summary, order, 0, assignment, [0])
-
-    def _matching_order(self, query: QueryGraph) -> List[int]:
-        remaining = set(range(query.num_vertices))
-        order: List[int] = []
-        while remaining:
-            placed = set(order)
-            frontier = {
-                u for u in remaining if query.neighbors(u) & placed
-            }
-            pool = frontier or remaining
-            best = max(pool, key=query.degree)
-            order.append(best)
-            remaining.discard(best)
-        return order
+        yield from self._match(query, summary, plan.cut, 0, {})
 
     def _match(
         self,
         query: QueryGraph,
         summary: SummaryGraph,
-        order: List[int],
+        order: Sequence[int],
         depth: int,
         assignment: Dict[int, int],
-        emitted: List[int],
-    ) -> Iterator[Embedding]:
+    ) -> Iterator[CutAssignment]:
         if depth == len(order):
-            emitted[0] += 1
+            if self._summary_embeddings >= self.max_embeddings:
+                self._truncated = True
+                return
             self._summary_embeddings += 1
-            yield tuple(assignment[u] for u in range(query.num_vertices))
-            return
-        if emitted[0] >= self.max_embeddings:
+            yield tuple(assignment[u] for u in order)
             return
         u = order[depth]
         for bucket in self._bucket_candidates(query, summary, u, assignment):
+            if self._truncated:
+                return
             assignment[u] = bucket
             yield from self._match(
-                query, summary, order, depth + 1, assignment, emitted
+                query, summary, order, depth + 1, assignment
             )
             del assignment[u]
 
@@ -516,32 +529,83 @@ class SumRDF(Estimator):
         return (other, bucket, label) in summary.edge_weights
 
     def est_card(
-        self, query: QueryGraph, subquery: QueryGraph, substructure: Embedding
-    ) -> float:
-        """Expected number of data embeddings expanding one summary embedding."""
+        self,
+        query: QueryGraph,
+        plan: _CutPlan,
+        substructure: CutAssignment,
+    ) -> Fraction:
+        """Weighted count of the summary embeddings extending one cut
+        assignment, exact: a memoized DP over the forest left by the cut."""
         summary = self.summary
         assert summary is not None
-        estimate = 1.0
-        for u in range(query.num_vertices):
-            estimate *= summary.effective_weight(
-                substructure[u], query.vertex_labels[u]
-            )
-            if estimate == 0.0:
-                return 0.0
-        for u, v, label in query.edges:
-            bu, bv = substructure[u], substructure[v]
-            k = summary.edge_weights.get((bu, bv, label), 0)
-            n = summary.weights[bu] * summary.weights[bv]
-            if n == 0:
-                return 0.0
-            estimate *= k / n
-        return estimate
+        labels = query.vertex_labels
+        edge_weights = summary.edge_weights
+        fixed = dict(zip(plan.cut, substructure))
+        total = Fraction(1)
+        for u, bucket in fixed.items():
+            total *= _vertex_factor(summary, bucket, labels[u], plan.degree[u])
+        for u, v, label in plan.constant:
+            total *= edge_weights.get((fixed[u], fixed[v], label), 0)
+        if not total:
+            return total
+        memo: Dict[int, Dict[int, Fraction]] = {}
 
-    def agg_card(self, card_vec: Sequence[float]) -> float:
-        # summed in sorted order: embedding enumeration order depends on
-        # summary adjacency-list order, which incremental maintenance
-        # permutes (same embedding multiset, different sequence)
-        return float(sum(sorted(card_vec)))
+        def subtree_weight(u: int, bucket: int) -> Fraction:
+            """Weighted count of u's subtree with u mapped to ``bucket``."""
+            table = memo.get(u)
+            if table is None:
+                self.check_deadline()
+                table = memo[u] = {}
+            cached = table.get(bucket)
+            if cached is not None:
+                return cached
+            value = _vertex_factor(summary, bucket, labels[u], plan.degree[u])
+            for c, label, forward in plan.unary[u]:
+                if not value:
+                    break
+                key = (bucket, fixed[c], label) if forward else (
+                    fixed[c], bucket, label
+                )
+                value *= edge_weights.get(key, 0)
+            for child, label, forward in plan.children[u]:
+                if not value:
+                    break
+                if forward:  # u --label--> child
+                    others = summary.out_adj.get((bucket, label), ())
+                    branch = sum(
+                        edge_weights[(bucket, other, label)]
+                        * subtree_weight(child, other)
+                        for other in others
+                    )
+                else:  # child --label--> u
+                    others = summary.in_adj.get((bucket, label), ())
+                    branch = sum(
+                        edge_weights[(other, bucket, label)]
+                        * subtree_weight(child, other)
+                        for other in others
+                    )
+                self._buckets_scanned += len(others)
+                value *= branch
+            table[bucket] = value
+            return value
+
+        for root in plan.roots:
+            candidates: Sequence[int] = range(summary.num_buckets)
+            if plan.unary[root]:
+                # anchored on a cut neighbour: only its summary adjacency
+                c, label, forward = plan.unary[root][0]
+                adj = summary.in_adj if forward else summary.out_adj
+                candidates = adj.get((fixed[c], label), ())
+            self._buckets_scanned += len(candidates)
+            total *= sum(subtree_weight(root, b) for b in candidates)
+            if not total:
+                break
+        return total
+
+    def agg_card(self, card_vec: Sequence[Fraction]) -> float:
+        # exact sum, rounded once: independent of enumeration order, which
+        # follows summary adjacency-list order (permuted by maintenance)
+        return float(sum(card_vec, Fraction(0)))
 
     def summary_objects(self) -> tuple:
         return (self.summary,) if self.summary is not None else ()
@@ -549,6 +613,8 @@ class SumRDF(Estimator):
     def record_counters(self, obs) -> None:
         obs.incr("sumrdf.summary_embeddings", self._summary_embeddings)
         obs.incr("sumrdf.buckets_scanned", self._buckets_scanned)
+        if self._truncated:
+            obs.incr("sumrdf.truncated")
 
     def estimation_info(self) -> dict:
         summary = self.summary
@@ -556,4 +622,130 @@ class SumRDF(Estimator):
             "coarsening_level": self._coarsening_level,
             "summary_buckets": summary.num_buckets if summary else 0,
             "summary_edges": summary.num_edges if summary else 0,
+            "truncated": self._truncated,
         }
+
+
+# ----------------------------------------------------------------------
+# the cut/forest split of a query
+# ----------------------------------------------------------------------
+@dataclass
+class _CutPlan:
+    """A query split into an enumerated cut set and a forest.
+
+    Edges are ``(other vertex, label, forward)`` triples, ``forward``
+    meaning the edge points away from the vertex whose list holds it.
+    """
+
+    #: cut vertices, in enumeration order
+    cut: Tuple[int, ...]
+    #: per query vertex: incident edge endpoints (a self loop counts twice)
+    degree: List[int]
+    #: one root per forest component
+    roots: List[int]
+    #: per forest vertex: edges to its children in the rooted forest
+    children: List[List[Tuple[int, int, bool]]]
+    #: per forest vertex: edges to cut vertices (unary DP factors)
+    unary: List[List[Tuple[int, int, bool]]]
+    #: edges between two cut vertices (constant per cut assignment)
+    constant: List[Tuple[int, int, int]]
+
+
+def _two_core(query: QueryGraph, removed: Set[int]) -> Dict[int, int]:
+    """Vertex -> degree in the 2-core of the skeleton minus ``removed``.
+
+    The skeleton is a multigraph: a self loop adds 2 to its vertex's
+    degree and parallel or antiparallel edges each count, so every cycle
+    of the query — including those — survives the peeling.
+    """
+    alive = set(range(query.num_vertices)) - removed
+    while True:
+        degree = dict.fromkeys(alive, 0)
+        for u, v, _ in query.edges:
+            if u in alive and v in alive:
+                degree[u] += 1
+                degree[v] += 1
+        peel = {u for u, d in degree.items() if d <= 1}
+        if not peel:
+            return degree
+        alive -= peel
+
+
+def _cut_plan(query: QueryGraph) -> _CutPlan:
+    """Cut the query's cycles: take the 2-core's max-degree vertex
+    (lowest index on ties) until the rest is a forest, then root each
+    forest component, preferring a vertex adjacent to the cut."""
+    n = query.num_vertices
+    cut: Set[int] = set()
+    while True:
+        core = _two_core(query, cut)
+        if not core:
+            break
+        cut.add(max(sorted(core), key=core.__getitem__))
+    degree = [query.degree(u) for u in range(n)]
+    forest: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
+    unary: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
+    constant: List[Tuple[int, int, int]] = []
+    for u, v, label in query.edges:
+        if u in cut and v in cut:
+            constant.append((u, v, label))
+        elif v in cut:
+            unary[u].append((v, label, True))
+        elif u in cut:
+            unary[v].append((u, label, False))
+        else:
+            forest[u].append((v, label, True))
+            forest[v].append((u, label, False))
+    children: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
+    roots: List[int] = []
+    visited = set(cut)
+    for start in range(n):
+        if start in visited:
+            continue
+        component = [start]
+        visited.add(start)
+        for u in component:  # grows while iterating: BFS
+            for v, _, _ in forest[u]:
+                if v not in visited:
+                    visited.add(v)
+                    component.append(v)
+        root = max(
+            sorted(component), key=lambda u: (bool(unary[u]), degree[u])
+        )
+        roots.append(root)
+        seen = {root}
+        frontier = [root]
+        for u in frontier:
+            for v, label, forward in forest[u]:
+                if v not in seen:
+                    seen.add(v)
+                    children[u].append((v, label, forward))
+                    frontier.append(v)
+    return _CutPlan(
+        _matching_order(query, cut), degree, roots, children, unary, constant
+    )
+
+
+def _matching_order(query: QueryGraph, vertices: Set[int]) -> Tuple[int, ...]:
+    """Max-degree-first order, growing along query edges where it can."""
+    remaining = set(vertices)
+    order: List[int] = []
+    while remaining:
+        placed = set(order)
+        frontier = {u for u in remaining if query.neighbors(u) & placed}
+        best = max(frontier or remaining, key=query.degree)
+        order.append(best)
+        remaining.discard(best)
+    return tuple(order)
+
+
+def _vertex_factor(
+    summary: SummaryGraph, bucket: int, labels: FrozenSet[int], degree: int
+) -> Fraction:
+    """``effective_weight(b, L_u) / w(b)^deg(u)``: the vertex's own
+    weight, with the ``1/w`` that each incident edge's weight
+    ``k / (w(b_u) w(b_v))`` charges to this endpoint."""
+    weight = summary.effective_weight(bucket, labels)
+    if not weight:
+        return Fraction(0)
+    return Fraction(weight, summary.weights[bucket] ** degree)
