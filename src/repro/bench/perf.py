@@ -68,9 +68,9 @@ _TECH_KWARGS: Dict[str, dict] = {
     "cs": {"seed": 7},
 }
 
-#: techniques whose estimate hot loop is benchmarked (cheap enough to
-#: repeat; bs estimates run ~0.1 s per query and would dominate the
-#: suite, and sumrdf's never read the graph substrate)
+#: techniques whose estimate hot loop is benchmarked on both substrates
+#: (bs and sumrdf estimate from their summaries rather than walking the
+#: graph substrate the loop compares)
 _HOT_TECHNIQUES = ("wj", "jsub", "cs")
 
 

@@ -14,8 +14,15 @@ the paper).  The estimate of one formula is
 
     sum_{m in [M]^{|A_Q|}}  prod_terms  term(R^(m))
 
-which we evaluate as a tensor contraction (einsum) over the per-relation
-sketch tensors.  AggCard takes the MIN over formulas — the tightest bound.
+The grid ``[M]^|A_Q|`` has at most ``budget`` cells, so each term's sketch
+tensor is broadcast once per query to a flat vector over the whole grid
+and a formula is the sum of its terms' elementwise product.  Formulas
+come out of a depth-first enumeration, so consecutive ones share long
+prefixes; EstCard keeps the running products of the previous formula's
+prefixes and multiplies in only the terms after the shared prefix.  At
+most ``MAX_FORMULAS`` formulas are evaluated; an estimate the cap cut
+short reports ``truncated``.  AggCard takes the MIN over formulas — the
+tightest bound.
 
 The paper's observations fall out of the math: BS always >= the true
 cardinality, and its error grows with query size because larger formulas
@@ -24,12 +31,11 @@ multiply more count/degree factors (Sections 6.1.4 and 6.2.3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 try:  # numpy is the optional [perf] extra; BS is the one technique
-    # whose math (sketch tensors, einsum contraction) requires it
+    # whose math (sketch tensors, grid products) requires it
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None
@@ -79,25 +85,40 @@ class _Term:
 Formula = Tuple[_Term, ...]
 
 
-def _acyclic_coverage(terms: Sequence[_Term]) -> bool:
+def _mask(attrs) -> int:
+    mask = 0
+    for a in attrs:
+        mask |= 1 << a
+    return mask
+
+
+def _acyclic_coverage(options: Sequence[Tuple[Optional[_Term], int, int]]) -> bool:
     """Check that the terms admit a valid derivation order.
 
-    A degree term ``d_R^a`` conditions on ``a``, so ``a`` must be covered by
-    terms processed *before* it (the entropy argument behind the bounds pays
-    ``H(attrs | a)`` and needs ``H(a)`` paid first).  Circular coverage —
-    two degree terms covering each other's hinges — is not a valid bound.
+    ``options`` holds ``(term, cover mask, hinge mask)`` triples; a zero
+    hinge mask marks a count term.  A degree term ``d_R^a`` conditions on
+    ``a``, so ``a`` must be covered by terms processed *before* it (the
+    entropy argument behind the bounds pays ``H(attrs | a)`` and needs
+    ``H(a)`` paid first).  Circular coverage — two degree terms covering
+    each other's hinges — is not a valid bound.
     """
-    remaining = list(terms)
-    covered: Set[int] = set()
-    while remaining:
-        progress = False
-        for term in list(remaining):
-            if term.role == "count" or term.hinge in covered:
-                covered |= term.covers()
-                remaining.remove(term)
-                progress = True
-        if not progress:
+    covered = 0
+    pending = []
+    for _, cover, hinge in options:
+        if hinge:
+            pending.append((cover, hinge))
+        else:
+            covered |= cover
+    while pending:
+        waiting = []
+        for cover, hinge in pending:
+            if hinge & covered:
+                covered |= cover
+            else:
+                waiting.append((cover, hinge))
+        if len(waiting) == len(pending):
             return False
+        pending = waiting
     return True
 
 
@@ -107,6 +128,14 @@ class BoundSketch(Estimator):
     name = "bs"
     display_name = "BS"
     is_sampling_based = False
+    # per-query diagnostics and evaluation scratch are not summary state
+    _SUMMARY_EXCLUDED_STATE = Estimator._SUMMARY_EXCLUDED_STATE + (
+        "_formulas_evaluated",
+        "_truncated",
+        "_grid_key",
+        "_grid_vectors",
+        "_prefix_stack",
+    )
 
     def __init__(self, graph: Graph, budget: int = 4096, **kwargs) -> None:
         """``budget`` bounds the partitioned summation size M^|A_Q| and thus
@@ -121,8 +150,18 @@ class BoundSketch(Estimator):
         self._salt = 0x5DEECE66D ^ (self.seed * 0x9E3779B9)
         # sketch cache: (kind, label, M, variant) -> numpy tensor
         self._sketches: Dict[Tuple, np.ndarray] = {}
-        # observability: formulas contracted by the current estimate
+        # observability: formulas evaluated by the current estimate, and
+        # whether MAX_FORMULAS cut the enumeration short
         self._formulas_evaluated = 0
+        self._truncated = False
+        # per-query scratch of est_card, released at the start of every
+        # estimate, in agg_card and on reset_summary: the query the grid
+        # was built for (by identity) and its M, grid vectors keyed by
+        # term, and the (term, running product) stack of the last
+        # formula's prefixes
+        self._grid_key: Optional[Tuple[QueryGraph, int]] = None
+        self._grid_vectors: Dict[_Term, np.ndarray] = {}
+        self._prefix_stack: List[Tuple[_Term, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # PrepareSummaryStructure
@@ -148,6 +187,7 @@ class BoundSketch(Estimator):
         # not serve sketches built from the pre-delta graph
         super().reset_summary()
         self._sketches.clear()
+        self._release_scratch()
 
     def partitions_for(self, num_attrs: int) -> int:
         """M = floor(budget^(1/|A_Q|)), at least 1."""
@@ -226,6 +266,9 @@ class BoundSketch(Estimator):
         if query.num_vertices > 26:
             raise UnsupportedQueryError("BoundSketch supports <= 26 attributes")
         self._formulas_evaluated = 0
+        # an estimate cut short (timeout, memory budget) never reaches
+        # agg_card; its scratch must not serve this one
+        self._release_scratch()
         return [query]
 
     def _relations(self, query: QueryGraph) -> List[_RelationDesc]:
@@ -243,72 +286,113 @@ class BoundSketch(Estimator):
     def get_substructures(
         self, query: QueryGraph, subquery: QueryGraph
     ) -> Iterator[Formula]:
-        """Enumerate valid bounding formulas (capped at MAX_FORMULAS)."""
+        """Enumerate valid bounding formulas (capped at MAX_FORMULAS).
+
+        A depth-first walk assigns each relation, in order, no term, its
+        count term or one of its degree terms.  Every relation's terms are
+        built once, so consecutive formulas share their prefix terms by
+        identity (which :meth:`est_card` exploits).  When the cap stops the
+        walk and a further valid formula exists, the estimate is marked
+        truncated.
+        """
+        self._truncated = False
         relations = self._relations(subquery)
-        attributes = frozenset(range(subquery.num_vertices))
+        full = (1 << subquery.num_vertices) - 1
+        # per relation: (term or None, cover mask, hinge mask or 0 for
+        # terms that need no prior coverage)
+        options: List[List[Tuple[Optional[_Term], int, int]]] = []
+        for relation in relations:
+            attrs_mask = _mask(relation.attrs)
+            choices = [(None, 0, 0), (_Term(relation, "count"), attrs_mask, 0)]
+            if relation.kind == "edge" and not relation.self_loop:
+                for hinge in relation.attrs:
+                    choices.append((
+                        _Term(relation, "degree", hinge),
+                        attrs_mask & ~(1 << hinge),
+                        1 << hinge,
+                    ))
+            options.append(choices)
+        # suffix[i]: attributes the relations from i on can still cover
+        suffix = [0] * (len(relations) + 1)
+        for i in range(len(relations) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | _mask(relations[i].attrs)
+        chosen: List[Tuple[Optional[_Term], int, int]] = []
         emitted = 0
 
-        def roles(relation: _RelationDesc) -> List[Optional[_Term]]:
-            options: List[Optional[_Term]] = [None, _Term(relation, "count")]
-            if relation.kind == "edge" and not relation.self_loop:
-                options.append(_Term(relation, "degree", relation.attrs[0]))
-                options.append(_Term(relation, "degree", relation.attrs[1]))
-            return options
-
-        def assign(
-            index: int, chosen: List[_Term], covered: Set[int]
-        ) -> Iterator[Formula]:
+        def assign(index: int, covered: int) -> Iterator[Formula]:
             nonlocal emitted
-            if emitted >= MAX_FORMULAS:
+            if self._truncated:
                 return
             if index == len(relations):
-                if covered != attributes or not _acyclic_coverage(chosen):
+                if covered != full or not _acyclic_coverage(chosen):
+                    return
+                if emitted >= MAX_FORMULAS:
+                    self._truncated = True
                     return
                 emitted += 1
-                yield tuple(chosen)
+                yield tuple(term for term, _, _ in chosen)
                 return
-            # prune: can the remaining relations still cover everything?
-            remaining_cover = set().union(
-                *(r.attrs for r in relations[index:])
-            ) if index < len(relations) else set()
-            if not attributes <= (covered | remaining_cover):
+            if full & ~(covered | suffix[index]):
                 return
-            for term in roles(relations[index]):
-                if term is None:
-                    yield from assign(index + 1, chosen, covered)
+            for option in options[index]:
+                if option[0] is None:
+                    yield from assign(index + 1, covered)
                 else:
-                    chosen.append(term)
-                    yield from assign(index + 1, chosen, covered | term.covers())
+                    chosen.append(option)
+                    yield from assign(index + 1, covered | option[1])
                     chosen.pop()
 
-        yield from assign(0, [], set())
+        yield from assign(0, 0)
 
     # ------------------------------------------------------------------
-    # EstCard: partitioned evaluation of one formula via einsum
+    # EstCard: partitioned evaluation of one formula over the grid
     # ------------------------------------------------------------------
     def est_card(
         self, query: QueryGraph, subquery: QueryGraph, substructure: Formula
     ) -> float:
+        """Sum over the partition grid of the product of the formula's terms.
+
+        Each term is broadcast once per query to a flat vector over the
+        full grid ``[M]^|A_Q|``; the running products of a formula's
+        prefixes are kept on a stack, so a formula sharing its first k terms
+        with the previous one multiplies in only the rest.  Prefix k's
+        vector is always the left fold of the formula's first k terms, so
+        the value does not depend on what was evaluated before.
+        """
         formula = substructure
         self._formulas_evaluated += 1
         partitions = self.partitions_for(subquery.num_vertices)
-        operands: List[np.ndarray] = []
-        subscripts: List[str] = []
-        letters = {a: chr(ord("a") + a) for a in range(subquery.num_vertices)}
-        for term in formula:
-            relation = term.relation
-            tensor = self._term_tensor(relation, term, partitions)
-            operands.append(tensor)
-            subscripts.append("".join(letters[a] for a in relation.attrs))
-        # attributes covered by no term's axes still contribute a factor of
-        # M each to the partition summation... they cannot occur: a valid
-        # formula covers every attribute, and covering requires the axis.
-        expression = ",".join(subscripts) + "->"
-        try:
-            value = float(np.einsum(expression, *operands, optimize="greedy"))
-        except MemoryError:  # pragma: no cover - defensive
-            value = float("inf")
-        return value
+        key = self._grid_key
+        if key is None or key[0] is not subquery or key[1] != partitions:
+            self._release_scratch()
+            self._grid_key = (subquery, partitions)
+        stack = self._prefix_stack
+        shared = 0
+        limit = min(len(stack), len(formula))
+        while shared < limit and stack[shared][0] is formula[shared]:
+            shared += 1
+        del stack[shared:]
+        product = stack[-1][1] if stack else None
+        for term in formula[shared:]:
+            vector = self._grid_vectors.get(term)
+            if vector is None:
+                vector = self._grid_vector(term, subquery.num_vertices, partitions)
+                self._grid_vectors[term] = vector
+            product = vector if product is None else product * vector
+            stack.append((term, product))
+        return float(product.sum())
+
+    def _grid_vector(self, term: _Term, num_attrs: int, partitions: int) -> np.ndarray:
+        """The term's sketch tensor broadcast to the flat ``(M,)*|A_Q|`` grid."""
+        tensor = self._term_tensor(term.relation, term, partitions)
+        attrs = term.relation.attrs
+        if len(attrs) == 2 and attrs[0] > attrs[1]:
+            tensor, attrs = tensor.T, (attrs[1], attrs[0])
+        shape = [1] * num_attrs
+        for a in attrs:
+            shape[a] = partitions
+        grid = np.broadcast_to(tensor.reshape(shape), (partitions,) * num_attrs)
+        return grid.ravel()
 
     def _term_tensor(
         self, relation: _RelationDesc, term: _Term, partitions: int
@@ -324,8 +408,14 @@ class BoundSketch(Estimator):
             return deg_src
         return deg_dst
 
+    def _release_scratch(self) -> None:
+        self._grid_key = None
+        self._grid_vectors = {}
+        self._prefix_stack = []
+
     def agg_card(self, card_vec: Sequence[float]) -> float:
         """MIN over bounding formulas: the tightest upper bound."""
+        self._release_scratch()  # the query's formulas are all evaluated
         finite = [c for c in card_vec if c != float("inf")]
         if not finite:
             return 0.0
@@ -336,3 +426,8 @@ class BoundSketch(Estimator):
 
     def record_counters(self, obs) -> None:
         obs.incr("bs.formulas_evaluated", self._formulas_evaluated)
+        if self._truncated:
+            obs.incr("bs.truncated")
+
+    def estimation_info(self) -> dict:
+        return {"truncated": self._truncated}

@@ -1,5 +1,7 @@
 """Unit and property tests for BoundSketch (BS)."""
 
+import random
+
 import pytest
 
 # BS's sketch math is numpy (the optional [perf] extra); the whole
@@ -8,9 +10,10 @@ pytestmark = pytest.mark.needs_numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import UnsupportedQueryError
+from repro.core.errors import EstimationTimeout, UnsupportedQueryError
 from repro.datasets.example import figure1_graph, figure1_query
 from repro.estimators.boundsketch import (
+    MAX_FORMULAS,
     BoundSketch,
     _RelationDesc,
     _Term,
@@ -19,6 +22,7 @@ from repro.estimators.boundsketch import (
 from repro.graph.digraph import Graph
 from repro.graph.query import QueryGraph
 from repro.matching.homomorphism import count_embeddings
+from repro.obs.trace import TraceCollector
 
 from tests.conftest import brute_force_count
 
@@ -41,7 +45,9 @@ class TestSketches:
         est = BoundSketch(fig1_graph)
         count, deg_src, deg_dst = est._edge_sketches(0, 4, self_loop=False)
         assert count.sum() == fig1_graph.edge_label_count(0)
-        assert (deg_src <= count).all() or True  # degrees bounded by counts
+        # a cell's max degree counts edges of one value inside the cell
+        assert (deg_src <= count).all()
+        assert (deg_dst <= count).all()
         assert deg_src.max() >= 1
 
     def test_vertex_sketch_counts(self, fig1_graph):
@@ -67,26 +73,41 @@ class TestFormulaValidity:
     def _edge_rel(self, a, b, label=0):
         return _RelationDesc("edge", label, (a, b))
 
+    def _valid(self, terms):
+        """The enumerator's check on (term, cover mask, hinge mask)
+        triples, cross-checked against the test's reference."""
+        options = [
+            (
+                term,
+                sum(1 << a for a in term.covers()),
+                0 if term.role == "count" else 1 << term.hinge,
+            )
+            for term in terms
+        ]
+        valid = _acyclic_coverage(options)
+        assert valid == reference_acyclic(terms)
+        return valid
+
     def test_all_count_formula_valid(self):
         terms = [
             _Term(self._edge_rel(0, 1), "count"),
             _Term(self._edge_rel(1, 2), "count"),
         ]
-        assert _acyclic_coverage(terms)
+        assert self._valid(terms)
 
     def test_circular_degree_coverage_rejected(self):
         terms = [
             _Term(self._edge_rel(0, 1), "degree", hinge=0),
             _Term(self._edge_rel(0, 1, 1), "degree", hinge=1),
         ]
-        assert not _acyclic_coverage(terms)
+        assert not self._valid(terms)
 
     def test_count_then_degree_chain_valid(self):
         terms = [
             _Term(self._edge_rel(0, 1), "count"),
             _Term(self._edge_rel(1, 2), "degree", hinge=1),
         ]
-        assert _acyclic_coverage(terms)
+        assert self._valid(terms)
 
     def test_formula_enumeration_covers_all_attrs(self, fig1_graph, fig1_query):
         est = BoundSketch(fig1_graph)
@@ -127,10 +148,41 @@ class TestUpperBound:
 # ---------------------------------------------------------------------------
 # property test: BS is a guaranteed upper bound
 # ---------------------------------------------------------------------------
-graph_edges = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1)),
-    max_size=18,
-)
+@st.composite
+def labelled_graphs(draw, num_vertices=6):
+    labels = {
+        v: draw(st.sets(st.integers(0, 1), max_size=2))
+        for v in range(num_vertices)
+    }
+    edges = draw(st.lists(
+        st.tuples(
+            st.integers(0, num_vertices - 1),
+            st.integers(0, num_vertices - 1),
+            st.integers(0, 1),
+        ),
+        max_size=18,
+    ))
+    return Graph.from_edges(edges, labels, num_vertices=num_vertices)
+
+
+@st.composite
+def random_queries(draw, min_vertices=2, max_vertices=5):
+    """A random spanning tree plus random extra edges: self loops,
+    parallel and antiparallel edges and longer cycles all occur."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    labels = [draw(st.sets(st.integers(0, 1), max_size=1)) for _ in range(n)]
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(0, v - 1))
+        edge = (parent, v) if draw(st.booleans()) else (v, parent)
+        edges.append((*edge, draw(st.integers(0, 1))))
+    extra = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1)
+    )
+    edges += draw(st.lists(extra, max_size=3))
+    return QueryGraph(labels, edges)
+
+
 queries = st.sampled_from(
     [
         QueryGraph([(), ()], [(0, 1, 0)]),
@@ -143,10 +195,201 @@ queries = st.sampled_from(
 )
 
 
-@given(edges=graph_edges, query=queries, budget=st.sampled_from([1, 64, 4096]))
-@settings(max_examples=100, deadline=None)
-def test_boundsketch_never_underestimates(edges, query, budget):
-    graph = Graph.from_edges(edges, num_vertices=6)
+@given(
+    graph=labelled_graphs(),
+    query=st.one_of(queries, random_queries()),
+    budget=st.sampled_from([1, 64, 4096]),
+)
+@settings(max_examples=150, deadline=None)
+def test_boundsketch_never_underestimates(graph, query, budget):
     truth = brute_force_count(graph, query)
     estimate = BoundSketch(graph, budget=budget).estimate(query).estimate
     assert estimate >= truth
+
+
+# ---------------------------------------------------------------------------
+# evaluation oracle: references that share no code with est_card or the
+# formula enumerator
+# ---------------------------------------------------------------------------
+def reference_acyclic(terms):
+    remaining = list(terms)
+    covered = set()
+    while remaining:
+        progress = False
+        for term in list(remaining):
+            if term.role == "count" or term.hinge in covered:
+                covered |= term.covers()
+                remaining.remove(term)
+                progress = True
+        if not progress:
+            return False
+    return True
+
+
+def reference_formulas(est, query):
+    """The straightforward DFS: every relation takes no term, its count
+    term or a degree term, pruned when the rest cannot cover A_Q."""
+    relations = est._relations(query)
+    attributes = frozenset(range(query.num_vertices))
+    formulas = []
+
+    def roles(relation):
+        options = [None, _Term(relation, "count")]
+        if relation.kind == "edge" and not relation.self_loop:
+            options += [_Term(relation, "degree", a) for a in relation.attrs]
+        return options
+
+    def assign(index, chosen, covered):
+        if len(formulas) >= MAX_FORMULAS:
+            return
+        if index == len(relations):
+            if covered == attributes and reference_acyclic(chosen):
+                formulas.append(tuple(chosen))
+            return
+        rest = set().union(*(r.attrs for r in relations[index:]))
+        if not attributes <= covered | rest:
+            return
+        for term in roles(relations[index]):
+            if term is None:
+                assign(index + 1, chosen, covered)
+            else:
+                assign(index + 1, chosen + [term], covered | term.covers())
+
+    assign(0, [], set())
+    return formulas
+
+
+def reference_card(est, query, formula):
+    """One formula's partitioned sum as an einsum over the sketches."""
+    import numpy as np
+
+    partitions = est.partitions_for(query.num_vertices)
+    operands, subscripts = [], []
+    for term in formula:
+        relation = term.relation
+        if relation.kind == "vertex":
+            operands.append(est._vertex_sketches(relation.label, partitions))
+        else:
+            count, deg_src, deg_dst = est._edge_sketches(
+                relation.label, partitions, relation.self_loop
+            )
+            if term.role == "count":
+                operands.append(count)
+            else:
+                hinge_first = term.hinge == relation.attrs[0]
+                operands.append(deg_src if hinge_first else deg_dst)
+        subscripts.append("".join(chr(ord("a") + a) for a in relation.attrs))
+    return float(np.einsum(",".join(subscripts) + "->", *operands))
+
+
+def close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@given(
+    graph=labelled_graphs(),
+    query=st.one_of(queries, random_queries(min_vertices=1)),
+    budget=st.sampled_from([1, 64, 4096, 16384]),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_evaluation_matches_einsum_reference(graph, query, budget, shuffle_seed):
+    est = BoundSketch(graph, budget=budget)
+    formulas = list(est.get_substructures(query, query))
+    assert formulas == reference_formulas(est, query)
+    # warm: one estimator, formulas in enumeration order
+    warm = [est.est_card(query, query, f) for f in formulas]
+    for formula, value in zip(formulas, warm):
+        assert close(value, reference_card(est, query, formula))
+    # shuffled: another estimator, another order, the same floats
+    order = list(range(len(formulas)))
+    random.Random(shuffle_seed).shuffle(order)
+    shuffled_est = BoundSketch(graph, budget=budget)
+    shuffled = {i: shuffled_est.est_card(query, query, formulas[i]) for i in order}
+    assert [shuffled[i] for i in range(len(formulas))] == warm
+    # cold: a fresh estimator for each of a few formulas
+    for i in order[:8]:
+        cold = BoundSketch(graph, budget=budget)
+        assert cold.est_card(query, query, formulas[i]) == warm[i]
+
+
+# ---------------------------------------------------------------------------
+# the MAX_FORMULAS guard is visible, and estimating leaves no trace in the
+# exported summary
+# ---------------------------------------------------------------------------
+class TestTruncation:
+    # a 7-edge path: 3^6 = 729 valid formulas, over the cap of 512
+    LONG_PATH = QueryGraph([()] * 8, [(i, i + 1, i % 2) for i in range(7)])
+
+    def test_capped_enumeration_is_marked_truncated(self, fig1_graph):
+        est = BoundSketch(fig1_graph)
+        est.obs = TraceCollector()
+        result = est.estimate(self.LONG_PATH)
+        assert result.num_substructures == MAX_FORMULAS
+        assert result.info["truncated"]
+        assert est.obs.counters["bs.truncated"] == 1
+
+    def test_complete_enumeration_is_not_truncated(self, fig1_graph, fig1_query):
+        est = BoundSketch(fig1_graph)
+        est.obs = TraceCollector()
+        result = est.estimate(fig1_query)
+        assert 0 < result.num_substructures < MAX_FORMULAS
+        assert not result.info["truncated"]
+        assert "bs.truncated" not in est.obs.counters
+
+    def test_flag_resets_per_query(self, fig1_graph, fig1_query):
+        est = BoundSketch(fig1_graph)
+        assert est.estimate(self.LONG_PATH).info["truncated"]
+        assert not est.estimate(fig1_query).info["truncated"]
+
+    def test_enumeration_repeats_after_truncation(self, fig1_graph):
+        est = BoundSketch(fig1_graph)
+        first = list(est.get_substructures(self.LONG_PATH, self.LONG_PATH))
+        second = list(est.get_substructures(self.LONG_PATH, self.LONG_PATH))
+        assert len(first) == MAX_FORMULAS
+        assert second == first
+        assert est.estimation_info()["truncated"]
+
+
+def test_estimating_leaves_export_summary_unchanged(fig1_graph):
+    # 4 attributes at budget 4096 -> M = 8, whose sketches prepare builds
+    query = QueryGraph(
+        [(0,), (), (), ()], [(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 1, 1)]
+    )
+    est = BoundSketch(fig1_graph)
+    est.prepare()
+    before = est.export_summary()
+    assert est.estimate(query).num_substructures > 0
+    assert est.export_summary() == before
+
+
+def test_estimate_cut_short_leaves_no_stale_grid_after_graph_change(
+    fig1_graph, fig1_query
+):
+    # an estimate stopped inside the formula loop never reaches agg_card;
+    # its grid vectors must not answer the same query on the changed graph
+    est = BoundSketch(fig1_graph)
+    checks = 0
+
+    def deadline_after_three_formulas():
+        nonlocal checks
+        checks += 1
+        if checks > 3:
+            raise EstimationTimeout("cut short")
+
+    est.check_deadline = deadline_after_three_formulas
+    with pytest.raises(EstimationTimeout):
+        est.estimate(fig1_query)
+    del est.check_deadline
+    fig1_graph.enable_journal()
+    base = fig1_graph.generation
+    for _ in range(3):  # three more embeddings of the query
+        image = [
+            fig1_graph.add_vertex(labels) for labels in fig1_query.vertex_labels
+        ]
+        for src, dst, label in fig1_query.edges:
+            fig1_graph.add_edge(image[src], image[dst], label)
+    assert est.apply_deltas(fig1_graph, fig1_graph.deltas_since(base)) == "reprepare"
+    cold = BoundSketch(fig1_graph).estimate(fig1_query).estimate
+    assert cold >= brute_force_count(fig1_graph, fig1_query)
+    assert est.estimate(fig1_query).estimate == cold
