@@ -13,8 +13,8 @@ covering:
 * the exact matcher over the full workload on both substrates: the
   sealed and bitset passes pin the pure-Python kernel backend (the
   metrics' historical semantics), and a separate ``matcher_kernels``
-  pass measures the default numpy-dispatch configuration on its own
-  fresh seal,
+  pass measures the default kernel dispatch (the native leg when it
+  compiles) on its own fresh seal,
 * shared-memory worker attach vs. per-worker unpickling of the sealed
   graph (the transport the parallel runner uses),
 * results-log append throughput (the persistent-handle fast path),
@@ -58,7 +58,7 @@ from ..obs.size import deep_sizeof
 from .workloads import workload
 
 #: benchmark schema version (bump when metrics change incompatibly)
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: estimator constructor kwargs, fixed so runs are reproducible
 _TECH_KWARGS: Dict[str, dict] = {
@@ -162,8 +162,8 @@ def run_benchmarks(quick: bool = False, seed: int = 1) -> dict:
         matcher_bitset = _median_time(
             lambda: matcher_pass(graph_sealed_py, use_bitsets=True), reps
         )
-    # the default configuration users get: auto kernel dispatch (numpy
-    # when installed) on a sealed graph
+    # the default configuration users get: auto kernel dispatch (the
+    # native leg when it compiles, else pure Python) on a sealed graph
     matcher_pass(graph_sealed)
     matcher_kernels = _median_time(lambda: matcher_pass(graph_sealed), reps)
     timings["matcher_dict_per_query"] = matcher_dict / len(queries)
@@ -174,43 +174,26 @@ def run_benchmarks(quick: bool = False, seed: int = 1) -> dict:
     speedups["matcher_bitset"] = round(matcher_dict / matcher_bitset, 2)
     speedups["matcher_kernels"] = round(matcher_dict / matcher_kernels, 2)
 
-    # pinned per-backend matcher passes, each on its own fresh seal.
-    # ``matcher_kernels`` above keeps its historical meaning (whatever
-    # the default dispatch resolves to); these pin the accelerated legs
-    # explicitly so the c-vs-numpy ratio is an apples-to-apples claim
-    matcher_backends: Dict[str, float] = {}
-    for backend in ("numpy", "c"):
-        available = (
-            _kernels.numpy_available()
-            if backend == "numpy"
-            else _kernels.native_available()
-        )
-        if not available:
-            continue
-        with _kernels.force_backend(backend):
+    # the native leg pinned explicitly on its own fresh seal, so the
+    # c-vs-python ratio against the pinned bitset pass above is an
+    # apples-to-apples claim whatever the default dispatch resolves to
+    if _kernels.native_available():
+        with _kernels.force_backend("c"):
             graph_fresh = graph_dict.seal()
             matcher_pass(graph_fresh)
-            elapsed = _median_time(lambda: matcher_pass(graph_fresh), reps)
+            matcher_c = _median_time(lambda: matcher_pass(graph_fresh), reps)
             del graph_fresh
-        matcher_backends[backend] = elapsed
-        timings[f"matcher_kernels_{backend}_per_query"] = (
-            elapsed / len(queries)
-        )
-        speedups[f"matcher_kernels_{backend}"] = round(
-            matcher_dict / elapsed, 2
-        )
-    # the per-backend seals are sizeable cyclic object graphs; reclaim
-    # them now so later allocation-heavy phases (summary hydration) are
-    # not taxed by gen-2 collections walking dead matcher state
-    gc.collect()
-    if "numpy" in matcher_backends and "c" in matcher_backends:
-        speedups["matcher_c_vs_numpy"] = round(
-            matcher_backends["numpy"] / matcher_backends["c"], 2
-        )
+        # the pinned seal is a sizeable cyclic object graph; reclaim it
+        # now so later allocation-heavy phases (summary hydration) are
+        # not taxed by gen-2 collections walking dead matcher state
+        gc.collect()
+        timings["matcher_kernels_c_per_query"] = matcher_c / len(queries)
+        speedups["matcher_kernels_c"] = round(matcher_dict / matcher_c, 2)
+        speedups["matcher_c_vs_python"] = round(matcher_bitset / matcher_c, 2)
         if not quick:
-            assert speedups["matcher_c_vs_numpy"] >= 2.0, (
-                "native matcher kernel must be >= 2x the numpy leg, got "
-                f"{speedups['matcher_c_vs_numpy']}x"
+            assert speedups["matcher_c_vs_python"] >= 2.0, (
+                "native matcher kernel must be >= 2x the pure-Python "
+                f"bitset matcher, got {speedups['matcher_c_vs_python']}x"
             )
 
     # --- worker transport: shm attach vs unpickling the sealed graph --
@@ -233,9 +216,6 @@ def run_benchmarks(quick: bool = False, seed: int = 1) -> dict:
         _bench_parallel_sweep(seed, timings, speedups, report)
 
     # --- prepare: cold vs hydrated from an exported blob --------------
-    # available_techniques(), not ALL_TECHNIQUES: without numpy the bs
-    # metrics drop out and compare_reports skips them against a full
-    # baseline, so the suite stays runnable on the pure-Python leg
     for name in available_techniques():
         kwargs = _TECH_KWARGS.get(name, {})
         cold_samples = []

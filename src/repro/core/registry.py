@@ -89,17 +89,9 @@ EXTENSIONS = ("cswj", "bernoulli", "tc")
 
 
 def available_techniques() -> List[str]:
-    """Names of the techniques runnable *right now*, in the paper's order.
-
-    Equal to :data:`ALL_TECHNIQUES` on a full install; without numpy
-    (the optional ``[perf]`` extra) BoundSketch — whose sketch math is
-    numpy — drops out, and sweeps/CLI default to the remaining six.
-    """
-    from ..kernels import numpy_available
-
-    if numpy_available():
-        return list(ALL_TECHNIQUES)
-    return [name for name in ALL_TECHNIQUES if name != "bs"]
+    """Names of the techniques sweeps/CLI default to, in the paper's
+    order: a fresh copy of :data:`ALL_TECHNIQUES`."""
+    return list(ALL_TECHNIQUES)
 
 
 def create_estimator(name: str, graph: Graph, **kwargs) -> Estimator:

@@ -34,13 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy is the optional [perf] extra; BS is the one technique
-    # whose math (sketch tensors, grid products) requires it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+import numpy as np
 
-from ..core.errors import GCareError, UnsupportedQueryError
+from ..core.errors import UnsupportedQueryError
 from ..core.framework import Estimator
 from ..graph.digraph import Graph
 from ..graph.query import QueryGraph
@@ -140,11 +136,6 @@ class BoundSketch(Estimator):
     def __init__(self, graph: Graph, budget: int = 4096, **kwargs) -> None:
         """``budget`` bounds the partitioned summation size M^|A_Q| and thus
         selects the per-attribute partition count M (paper default 4096)."""
-        if np is None:
-            raise GCareError(
-                "BoundSketch requires numpy (install the [perf] extra); "
-                "it is excluded from available_techniques() without it"
-            )
         super().__init__(graph, **kwargs)
         self.budget = budget
         self._salt = 0x5DEECE66D ^ (self.seed * 0x9E3779B9)

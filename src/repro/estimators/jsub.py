@@ -172,14 +172,13 @@ class _TreeSampler:
         """``k`` uniform root tuples — one frontier-batched kernel call.
 
         Index drawing replays the exact scalar ``randrange`` sequence
-        (stream parity with ``k`` :meth:`sample_root` calls); the tuple
-        gather out of the pair arenas is what vectorizes.
+        (stream parity with ``k`` :meth:`sample_root` calls); the tuples
+        are already materialized, so the gather is plain indexing.
         """
         pairs = self._root_pairs
         if not pairs:
             return []
-        indices = _ksampling.draw_indices(rng, len(pairs), k)
-        return _ksampling.gather_pairs(pairs, indices)
+        return [pairs[i] for i in _ksampling.draw_indices(rng, len(pairs), k)]
 
     def exact_weight(self, root_tuple: Tuple[int, int]) -> int:
         """w(t): join results of the root tuple with the rest of the tree."""

@@ -642,7 +642,7 @@ class CompactGraph(Graph):
 
         The zero-copy attachment point for :mod:`repro.kernels` — either
         ``array('q')`` objects (local seal) or read-only memoryviews
-        into a shared segment (shm attach); numpy views alias both
+        into a shared segment (shm attach); native views alias both
         without copying.  None when the label has no edges.
         """
         src = self._esrc.get(label)
@@ -653,20 +653,17 @@ class CompactGraph(Graph):
     def _targets_view(self, direction: _Direction):
         """Cached int64 view over one direction's targets arena.
 
-        Keyed by backend kind as well as direction: in-process backend
-        flips (``force_backend``) must never hand one leg's view type to
-        another leg's kernels.
+        None on the pure-Python backend, checked before the cache so an
+        in-process flip (``force_backend``) never hands a native view to
+        the Python twins.
         """
-        key = (
-            "kernels.targets",
-            _kernels.active_backend(),
-            direction is self._fwd,
-        )
+        if _kernels.get_native() is None:
+            return None
+        key = ("kernels.targets", direction is self._fwd)
         view = self.shared_cache.get(key)
         if view is None:
             view = _kernels.as_int64(direction.targets)
-            if view is not None:
-                self.shared_cache[key] = view
+            self.shared_cache[key] = view
         return view
 
     # ------------------------------------------------------------------
@@ -954,13 +951,7 @@ class CompactGraph(Graph):
             if src is None:
                 cached = ()
             else:
-                views = _kviews.pair_arrays(self, label)
-                if views is not None:
-                    # boxing through ndarray.tolist() is one C pass per
-                    # column instead of per-element buffer indexing
-                    cached = tuple(zip(views[0].tolist(), views[1].tolist()))
-                else:
-                    cached = tuple(zip(src, self._edst[label]))
+                cached = tuple(zip(src, self._edst[label]))
             self._edge_pairs_cache[label] = cached
         return cached
 
@@ -984,12 +975,10 @@ class CompactGraph(Graph):
         member_sets = [self.label_member_set(label) for _, label in ordered[1:]]
         if not member_sets:
             return list(smallest)
-        member_arrs = None
-        if _kernels.accelerated():
-            member_arrs = [
-                _kviews.member_array(self, frozenset((label,)))
-                for _, label in ordered[1:]
-            ]
+        member_arrs = [
+            _kviews.member_array(self, frozenset((label,)))
+            for _, label in ordered[1:]
+        ]
         return _kops.filter_members_multi(smallest, member_sets, member_arrs)
 
     def edges_with_label(self, label: int) -> PairArrayView:

@@ -1,10 +1,10 @@
-"""Vectorized batch kernels over the sealed CSR substrate.
+"""Native batch kernels over the sealed CSR substrate.
 
 The sealed :class:`~repro.graph.compact.CompactGraph` stores adjacency,
 label indexes and edge-pair arenas as flat ``array('q')`` buffers (or
 read-only shared-memory views after :meth:`~CompactGraph.from_shm`).
-This package wraps those buffers in **zero-copy** numpy ``int64`` views
-and supplies the batch primitives the estimation hot loops are made of:
+This package wraps those buffers in **zero-copy** ``int64`` views and
+supplies the batch primitives the estimation hot loops are made of:
 
 * sorted-set intersection and order-preserving membership filtering
   (label-constrained candidate generation),
@@ -12,27 +12,24 @@ and supplies the batch primitives the estimation hot loops are made of:
 * frontier-batched index drawing for the sampling estimators, which
   preserves the per-cell deterministic ``random.Random`` streams.
 
-Every kernel has a pure-Python twin that produces **bit-identical**
-results, selected by the ``GCARE_KERNELS=c|numpy|python`` environment
-switch (auto-detection by default), so numpy stays an optional
-dependency and the ``c`` leg (a lazily cc-compiled shared object, see
-:mod:`repro.kernels.native`) stays an optional toolchain.  Kernel
-outputs are always plain Python ints and lists at cache boundaries —
-downstream consumers never observe backend-native scalars.
+Every kernel runs on one of two legs, selected by the
+``GCARE_KERNELS=c|python`` environment switch: ``c`` (the default, a
+lazily cc-compiled shared object, see :mod:`repro.kernels.native`) or
+a pure-Python twin that is the **bit-identical** reference and the
+fallback wherever no C toolchain is available.  Kernel outputs are
+always plain Python ints and lists at cache boundaries — downstream
+consumers never observe backend-native scalars.
 """
 
 from .backend import (
     BACKEND_CODES,
     KERNELS_ENV,
-    accelerated,
     active_backend,
     backend_code,
     fallback_note,
     force_backend,
     get_native,
-    get_numpy,
     native_available,
-    numpy_available,
     refresh_env,
 )
 from .ops import (
@@ -43,15 +40,13 @@ from .ops import (
     filter_pairs,
     intersect_sorted,
     pack_bits,
-    pack_bits_from_set,
 )
-from .sampling import draw_indices, gather_pairs, interleave_pairs
+from .sampling import draw_indices, interleave_pairs
 from .views import as_int64, member_array, pair_arrays
 
 __all__ = [
     "BACKEND_CODES",
     "KERNELS_ENV",
-    "accelerated",
     "active_backend",
     "backend_code",
     "as_int64",
@@ -63,16 +58,12 @@ __all__ = [
     "filter_members_multi",
     "filter_pairs",
     "force_backend",
-    "gather_pairs",
     "get_native",
-    "get_numpy",
     "interleave_pairs",
     "intersect_sorted",
     "member_array",
     "native_available",
-    "numpy_available",
     "pack_bits",
-    "pack_bits_from_set",
     "pair_arrays",
     "refresh_env",
 ]

@@ -1,14 +1,15 @@
-"""Kernel backend selection: ``GCARE_KERNELS=c|numpy|python``.
+"""Kernel backend selection: ``GCARE_KERNELS=c|python``.
 
-Three legs share one dispatch point.  numpy is an optional dependency
-(the ``[perf]`` extra) guarded once at module load.  The ``c`` leg is a
+Two legs share one dispatch point.  The ``c`` leg is the default: a
 small native library compiled lazily from :file:`_native.c` with the
-system ``cc`` and loaded via ctypes (see :mod:`repro.kernels.native`);
-requesting it without a toolchain — or with a failing compile — silently
-degrades to numpy-or-python and :func:`fallback_note` explains why.  The
-*choice* of backend is re-read from the environment on every
-:func:`active_backend` call so tests (and the CLI) can flip modes without
-re-importing the package.
+system ``cc`` and loaded via ctypes (see :mod:`repro.kernels.native`).
+Without a toolchain — or with a failing compile — dispatch silently
+degrades to the pure-Python reference twins and :func:`fallback_note`
+explains why.  ``GCARE_KERNELS=python`` forces the reference leg; any
+other value (including the retired ``numpy``) resolves like an unset
+variable.  The switch is read once at import; :func:`refresh_env`
+re-reads it, so tests (and the CLI) can flip modes without re-importing
+the package.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ from typing import Optional
 #: environment variable steering kernel dispatch
 KERNELS_ENV = "GCARE_KERNELS"
 
-#: numeric codes for the backend gauge/metric (stable across releases)
-BACKEND_CODES = {"python": 0, "numpy": 1, "c": 2}
-
-try:  # numpy is the optional [perf] extra; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+#: numeric codes for the backend gauge/metric (stable across releases;
+#: 1 was the retired numpy leg)
+BACKEND_CODES = {"python": 0, "c": 2}
 
 #: process-local override installed by :func:`force_backend`; takes
 #: precedence over the environment (tests flip backends per block)
@@ -67,11 +64,6 @@ def refresh_env() -> None:
 refresh_env()
 
 
-def numpy_available() -> bool:
-    """True when the numpy import succeeded (regardless of the switch)."""
-    return _np is not None
-
-
 def native_available() -> bool:
     """True when the native library compiles and loads on this machine."""
     from . import native
@@ -86,33 +78,22 @@ def _requested() -> str:
 
 
 def active_backend() -> str:
-    """The backend kernels dispatch on right now: ``c``/``numpy``/``python``.
+    """The backend kernels dispatch on right now: ``c`` or ``python``.
 
-    ``GCARE_KERNELS=python`` forces the fallback even with numpy
-    installed; ``GCARE_KERNELS=c`` uses the native library when it
-    compiles and loads, degrading to numpy-or-python otherwise;
-    ``GCARE_KERNELS=numpy`` (or no setting) uses numpy when available.
-    Unknown values fall back to auto-detection.
+    ``c`` whenever the native library compiles and loads, unless
+    ``GCARE_KERNELS=python`` forces the pure-Python fallback.
     """
     global _RESOLVED, _RESOLVED_LIB
     if _RESOLVED is not None:
         return _RESOLVED
-    choice = _requested()
     lib = None
-    if choice == "python":
-        resolved = "python"
-    elif choice == "c":
+    if _requested() != "python":
         from . import native
 
         lib = native.load()
-        if lib is not None:
-            resolved = "c"
-        else:
-            resolved = "numpy" if _np is not None else "python"
-    else:
-        resolved = "numpy" if _np is not None else "python"
-    _RESOLVED, _RESOLVED_LIB = resolved, lib
-    return resolved
+    _RESOLVED = "c" if lib is not None else "python"
+    _RESOLVED_LIB = lib
+    return _RESOLVED
 
 
 def backend_code(name: Optional[str] = None) -> int:
@@ -120,63 +101,47 @@ def backend_code(name: Optional[str] = None) -> int:
     return BACKEND_CODES[name if name is not None else active_backend()]
 
 
-def get_numpy():
-    """The numpy module when the active backend is ``numpy``, else None.
-
-    One of the two dispatch points of every kernel: a non-None return
-    means "vectorize with numpy"; see :func:`get_native` for the C leg.
-    """
-    return _np if active_backend() == "numpy" else None
-
-
 def get_native():
     """The loaded native library when the active backend is ``c``.
 
-    Mutually exclusive with :func:`get_numpy` by construction — at most
-    one of them returns non-None for any given call.
+    The single dispatch point of every kernel: a non-None return means
+    "run natively", None means "run the pure-Python twin".
     """
     if active_backend() != "c":
         return None
     return _RESOLVED_LIB
 
 
-def accelerated() -> bool:
-    """True when kernels dispatch to an accelerated leg (numpy or c)."""
-    return active_backend() != "python"
-
-
 def fallback_note() -> Optional[str]:
     """One-line explanation when running degraded, else None."""
     choice = _requested()
-    if choice == "c" and not native_available():
+    if choice == "python":
+        return "kernels: pure-Python fallback forced via GCARE_KERNELS=python"
+    parts = []
+    if choice not in ("", "c"):
+        parts.append(
+            f"ignoring unknown {KERNELS_ENV}={choice!r} (expected c or python)"
+        )
+    if not native_available():
         from . import native
 
         reason = native.fallback_reason() or "native kernels unavailable"
-        return (
-            f"kernels: {reason}; using the "
-            f"{'numpy' if _np is not None else 'pure-Python'} fallback"
-        )
-    if _np is None and choice not in ("python", "c"):
-        return (
-            "kernels: numpy not installed, using the pure-Python fallback "
-            "(pip install 'gcare-repro[perf]' for vectorized kernels)"
-        )
-    if choice == "python" and _np is not None:
-        return "kernels: pure-Python fallback forced via GCARE_KERNELS=python"
-    return None
+        parts.append(f"{reason}; using the pure-Python fallback")
+    if not parts:
+        return None
+    return "kernels: " + "; ".join(parts)
 
 
 @contextmanager
 def force_backend(name: str):
-    """Temporarily pin the backend (``c``, ``numpy`` or ``python``).
+    """Temporarily pin the backend (``c`` or ``python``).
 
     Used by the differential tests and the benchmark suite to measure
-    all legs in one process.  Forcing ``numpy`` without numpy installed
-    (or ``c`` without a working toolchain) still degrades — the guards
-    in :func:`active_backend` win.
+    both legs in one process.  Forcing ``c`` without a working toolchain
+    still degrades — the guard in :func:`active_backend` wins.
     """
     global _FORCED
-    if name not in ("c", "numpy", "python"):
+    if name not in ("c", "python"):
         raise ValueError(f"unknown kernel backend: {name!r}")
     previous = _FORCED
     _FORCED = name

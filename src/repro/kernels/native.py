@@ -1,6 +1,6 @@
 """The ``c`` kernel backend: lazily cc-compiled CSR kernels via ctypes.
 
-``GCARE_KERNELS=c`` routes the batch-op surface (and the sealed matcher's
+The default backend routes the batch-op surface (and the sealed matcher's
 search loop, see :mod:`repro.kernels.native_match`) to a small C library,
 :file:`_native.c`, compiled on first use with the system ``cc`` and cached
 as a shared object keyed by ``blake2b(source + compiler version)`` under a
@@ -11,7 +11,7 @@ overrides the cache directory (read-only homes, hermetic CI).
 
 Everything degrades, never errors: no toolchain, a failed compile, or an
 ABI mismatch make :func:`load` return ``None`` and the backend machinery
-falls back to numpy-or-python with a :func:`repro.kernels.fallback_note`.
+falls back to pure Python with a :func:`repro.kernels.fallback_note`.
 
 Data crosses the boundary zero-copy.  Sealed graphs expose their CSR
 arenas either as ``array('q')`` (local seals — ``buffer_info()`` gives the
@@ -351,10 +351,10 @@ class _PinnedBuffer:
 class NativeView:
     """A read-only int64 sequence over borrowed memory.
 
-    The ``c``-backend analogue of the numpy views handed out by
-    :mod:`repro.kernels.views`: downstream code lens over CSR arenas and
-    kernel outputs without copying.  ``_keep`` anchors whatever owns the
-    memory (an ``array('q')``, a pinned shm buffer, a sealed graph).
+    The view type handed out by :mod:`repro.kernels.views`: downstream
+    code lens over CSR arenas and kernel outputs without copying.
+    ``_keep`` anchors whatever owns the memory (an ``array('q')``, a
+    pinned shm buffer, a sealed graph).
     """
 
     __slots__ = ("addr", "n", "_keep")

@@ -8,15 +8,15 @@ lists, per-depth separator rows — and returns a callable that runs the
 whole backtracking search in C.  The kernel replicates the Python
 search node for node (same candidate orders, same count-memo keying and
 insertion cap, same ``steps`` accounting), so counts, step counters and
-completeness flags are bit-identical; see the three-way differential
+completeness flags are bit-identical; see the python-vs-c differential
 suite in ``tests/test_native_kernels.py``.
 
 Only the plan shapes the C kernel replicates exactly are eligible:
 bitset-mode counters over a raw-CSR sealed graph with no per-edge
 candidate restrictions, no vertex filters, no self loops (plan extras)
 and at most 32 query vertices.  Anything else returns None and the
-caller stays on the Python loop — whose inner batch ops still dispatch
-natively, so nothing is ever slower than the numpy leg.
+caller stays on the Python loop, whose inner batch ops still dispatch
+natively.
 """
 
 from __future__ import annotations

@@ -1,26 +1,24 @@
 """Batch set/bitset kernels with bit-identical pure-Python twins.
 
-Every function dispatches on :func:`~repro.kernels.backend.get_numpy` /
-:func:`~repro.kernels.backend.get_native` at call time (at most one is
-non-None) and returns plain Python ints/lists either way, so cached
-results are interchangeable between backends.  The accelerated paths
-only engage above small size thresholds: per-call dispatch overhead
-(~1-2 us for numpy boxing, ~1 us for a ctypes call) loses to a C-level
-``in`` test on the short adjacency segments that dominate the matcher,
-while the batch shapes (label member sets, bitset arenas, filtered pair
-lists) win by an order of magnitude.  The same thresholds gate all
-accelerated legs, so backend parity tests cross every boundary at the
-same input sizes.
+Every function dispatches on :func:`~repro.kernels.backend.get_native`
+at call time and returns plain Python ints/lists either way, so cached
+results are interchangeable between backends.  The native paths only
+engage above small size thresholds: per-call dispatch overhead (~1 us
+for a ctypes call) loses to a C-level ``in`` test on the short
+adjacency segments that dominate the matcher, while the batch shapes
+(label member sets, bitset arenas, filtered pair lists) win by an order
+of magnitude.  The Python twin is the reference the native leg is
+differentially tested against, at the same threshold boundaries.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .backend import get_native, get_numpy
+from .backend import get_native
 
 #: below this many input values the pure-Python twin is used even on the
-#: accelerated backends — identical results, better constants on tiny
+#: native backend — identical results, better constants on tiny
 #: inputs
 SMALL_INPUT = 24
 #: below this popcount, bitset decoding stays on the bit-twiddling loop
@@ -29,9 +27,6 @@ SMALL_BITS = 64
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Ascending intersection of two sorted, duplicate-free sequences."""
-    np = get_numpy()
-    if np is not None and min(len(a), len(b)) >= SMALL_INPUT:
-        return np.intersect1d(a, b, assume_unique=True).tolist()
     lib = get_native()
     if lib is not None and min(len(a), len(b)) >= SMALL_INPUT:
         from . import native
@@ -63,23 +58,13 @@ def filter_members(
     """``[v for v in values if v in member_set]`` — order preserved.
 
     ``member_set`` drives the Python twin; ``member_arr`` is the same
-    membership domain as a sorted int64 array for the vectorized path
+    membership domain as a sorted int64 array for the native path
     (binary-search mask).  ``values_arr`` optionally supplies ``values``
     as an existing backend-native view so no conversion is paid.
     """
-    np = get_numpy()
-    n = len(values)
-    if np is not None and member_arr is not None and n >= SMALL_INPUT:
-        if len(member_arr) == 0:
-            return []
-        va = values_arr
-        if va is None:
-            va = np.fromiter(values, dtype=np.int64, count=n)
-        idx = np.searchsorted(member_arr, va)
-        mask = np.take(member_arr, idx, mode="clip") == va
-        return va[mask].tolist()
     lib = get_native()
-    if lib is not None and member_arr is not None and n >= SMALL_INPUT:
+    usable = member_arr is not None and len(values) >= SMALL_INPUT
+    if lib is not None and usable:
         from . import native
 
         return native.filter_members(
@@ -98,18 +83,9 @@ def count_members(
     values_arr=None,
 ) -> int:
     """Number of ``values`` inside the membership domain."""
-    np = get_numpy()
-    n = len(values)
-    if np is not None and member_arr is not None and n >= SMALL_INPUT:
-        if len(member_arr) == 0:
-            return 0
-        va = values_arr
-        if va is None:
-            va = np.fromiter(values, dtype=np.int64, count=n)
-        idx = np.searchsorted(member_arr, va)
-        return int((np.take(member_arr, idx, mode="clip") == va).sum())
     lib = get_native()
-    if lib is not None and member_arr is not None and n >= SMALL_INPUT:
+    usable = member_arr is not None and len(values) >= SMALL_INPUT
+    if lib is not None and usable:
         from . import native
 
         return native.count_members(
@@ -131,23 +107,11 @@ def filter_members_multi(
     member_arrs=None,
 ) -> List[int]:
     """Order-preserving filter against *several* membership domains."""
-    np = get_numpy()
-    n = len(values)
     have_arrs = member_arrs is not None and all(
         arr is not None for arr in member_arrs
     )
-    if np is not None and have_arrs and n >= SMALL_INPUT:
-        va = np.fromiter(values, dtype=np.int64, count=n)
-        mask = None
-        for arr in member_arrs:
-            if len(arr) == 0:
-                return []
-            idx = np.searchsorted(arr, va)
-            m = np.take(arr, idx, mode="clip") == va
-            mask = m if mask is None else (mask & m)
-        return va[mask].tolist()
     lib = get_native()
-    if lib is not None and have_arrs and n >= SMALL_INPUT:
+    if lib is not None and have_arrs and len(values) >= SMALL_INPUT:
         from . import native
 
         return native.filter_members_multi(
@@ -170,30 +134,15 @@ def filter_pairs(
     The relational layer's ``sigma_labels(R_l)`` access path.  ``arrays``
     optionally supplies the pair columns as ``(src, dst)`` int64 views;
     ``src_arr``/``dst_arr`` are the membership domains as sorted int64
-    arrays.  The vectorized path masks whole columns at once and boxes
-    only the (typically much smaller) surviving pairs.
+    arrays.  The native path masks whole columns at once and boxes only
+    the (typically much smaller) surviving pairs.
     """
-    np = get_numpy()
     usable = (
         arrays is not None
         and len(pairs) >= SMALL_INPUT
         and (src_set is None or src_arr is not None)
         and (dst_set is None or dst_arr is not None)
     )
-    if np is not None and usable:
-        src, dst = arrays
-        mask = None
-        for col, member_arr in ((src, src_arr), (dst, dst_arr)):
-            if member_arr is None:
-                continue
-            if len(member_arr) == 0:
-                return []
-            idx = np.searchsorted(member_arr, col)
-            m = np.take(member_arr, idx, mode="clip") == col
-            mask = m if mask is None else (mask & m)
-        if mask is None:
-            return list(pairs)
-        return list(zip(src[mask].tolist(), dst[mask].tolist()))
     lib = get_native()
     if lib is not None and usable:
         if src_set is None and dst_set is None:
@@ -216,22 +165,12 @@ def pack_bits(values: Sequence[int], nbits: int, values_arr=None) -> int:
 
     The big-int shape is what the matcher intersects with C-speed ``&``
     and ``bit_count()``; packing is the cold-path cost this kernel
-    vectorizes (one boolean scatter + ``packbits`` instead of a per-id
-    Python loop).  ``values_arr`` optionally supplies ``values`` as an
-    existing int64 view.
+    moves to C (one scatter pass instead of a per-id Python loop).
+    ``values_arr`` optionally supplies ``values`` as an existing int64
+    view.
     """
-    np = get_numpy()
-    n = len(values)
-    if np is not None and n >= SMALL_INPUT * 2:
-        flags = np.zeros(nbits, dtype=np.bool_)
-        va = values_arr
-        if va is None:
-            va = np.fromiter(values, dtype=np.int64, count=n)
-        flags[va] = True
-        packed = np.packbits(flags, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
     lib = get_native()
-    if lib is not None and n >= SMALL_INPUT * 2:
+    if lib is not None and len(values) >= SMALL_INPUT * 2:
         from . import native
 
         return native.pack_bits(lib, values, nbits, values_arr)
@@ -241,25 +180,8 @@ def pack_bits(values: Sequence[int], nbits: int, values_arr=None) -> int:
     return int.from_bytes(ba, "little")
 
 
-def pack_bits_from_set(members, nbits: int) -> int:
-    """``pack_bits`` over an unordered membership set."""
-    return pack_bits(tuple(members), nbits)
-
-
 def bits_to_list(bits: int, nbits: Optional[int] = None) -> List[int]:
     """Decode a big-int bitset into the ascending list of set positions."""
-    np = get_numpy()
-    if (
-        np is not None
-        and nbits is not None
-        and bits
-        and bits.bit_count() >= SMALL_BITS
-    ):
-        raw = bits.to_bytes((nbits + 7) >> 3, "little")
-        flags = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8), bitorder="little", count=nbits
-        )
-        return np.flatnonzero(flags).tolist()
     lib = get_native()
     if (
         lib is not None

@@ -6,17 +6,17 @@ Mersenne-Twister stream via rejection sampling — so a *vectorized* RNG
 could never replay the same draw sequence.  The batching here therefore
 happens one level up: a whole frontier's indices are drawn through a
 single kernel call that performs the exact scalar draw sequence, and
-the *post-draw* work (gathering the sampled tuples out of the CSR pair
-arenas, building slot tables) is what gets vectorized.  A frontier of
-``k`` draws consumes the stream exactly like ``k`` scalar
-``rng.randrange(n)`` calls — the seed-stream property test pins this.
+the *post-draw* work (building IMPR's slot tables out of the CSR pair
+arenas) is what moves to C.  A frontier of ``k`` draws consumes the
+stream exactly like ``k`` scalar ``rng.randrange(n)`` calls — the
+seed-stream property test pins this.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .backend import get_native, get_numpy
+from .backend import get_native
 
 
 def draw_indices(rng, n: int, k: int) -> List[int]:
@@ -40,22 +40,6 @@ def draw_indices(rng, n: int, k: int) -> List[int]:
     return [randrange(n) for _ in range(k)]
 
 
-def gather_pairs(
-    pairs: Sequence[Tuple[int, int]],
-    indices: Sequence[int],
-) -> List[Tuple[int, int]]:
-    """``[pairs[i] for i in indices]`` — the frontier's sampled tuples.
-
-    Deliberately scalar: the pair tuples are already materialized in the
-    cached relation, so indexing them allocates nothing, while a numpy
-    fancy-index gather has to re-box every endpoint into fresh tuples
-    (``zip`` over two ``tolist()`` columns) and measured 4-8x *slower*
-    at every frontier size on this workload.  The kernel win for
-    sampling is :func:`draw_indices` batching, not the gather.
-    """
-    return [pairs[i] for i in indices]
-
-
 def interleave_pairs(
     pairs: Sequence[Tuple[int, int]],
     arrays=None,
@@ -65,18 +49,10 @@ def interleave_pairs(
 
     This is IMPR's slot table shape — slot ``2i`` is the source and slot
     ``2i + 1`` the destination of edge ``i`` — built per label in one
-    vectorized interleave instead of a per-edge append loop.  ``out``
+    native interleave instead of a per-edge append loop.  ``out``
     accumulates across labels.
     """
     result = out if out is not None else []
-    np = get_numpy()
-    if np is not None and arrays is not None and len(pairs) >= 8:
-        src, dst = arrays
-        merged = np.empty(2 * len(src), dtype=np.int64)
-        merged[0::2] = src
-        merged[1::2] = dst
-        result.extend(merged.tolist())
-        return result
     lib = get_native()
     if lib is not None and arrays is not None and len(pairs) >= 8:
         from . import native

@@ -1,15 +1,15 @@
 """Zero-copy int64 views over the sealed graph's ``array('q')`` arenas.
 
 ``array('q')`` and the read-only shared-memory segments produced by
-:meth:`CompactGraph.to_shm` both expose the buffer protocol, so both
-accelerated backends alias them without copying — numpy via
-``np.frombuffer``, the native leg via a pinned-buffer
-:class:`~repro.kernels.native.NativeView` — and attaching to a
+:meth:`CompactGraph.to_shm` both expose the buffer protocol, so the
+native backend aliases them without copying through a pinned-buffer
+:class:`~repro.kernels.native.NativeView`, and attaching to a
 shared-memory graph never duplicates an arena.  Views are read-only
 (the substrate is sealed; nothing may write through them) and cached in
-the graph's ``shared_cache`` keyed by backend kind, so every consumer
-of one graph shares one view per arena and in-process backend flips
-(``force_backend``) never serve one leg's views to another.
+the graph's ``shared_cache``, so every consumer of one graph shares one
+view per arena.  On the pure-Python backend every function here returns
+None before touching the cache, so an in-process flip
+(``force_backend``) never hands a view to the Python twins.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from typing import Optional, Tuple
 
-from .backend import get_native, get_numpy
+from .backend import get_native
 
 
 def as_int64(buf):
@@ -25,21 +25,15 @@ def as_int64(buf):
 
     ``buf`` is an ``array('q')`` or a (possibly read-only) memoryview of
     one — the two buffer shapes the sealed substrate stores.  Returns a
-    numpy view on the numpy backend, a :class:`NativeView` on the c
-    backend, and None when the active backend is pure-Python.
+    :class:`NativeView` on the c backend and None on pure Python.
     """
-    np = get_numpy()
-    if np is not None:
-        view = np.frombuffer(buf, dtype=np.int64)
-        view.flags.writeable = False
-        return view
-    if get_native() is not None:
-        from . import native
+    if get_native() is None:
+        return None
+    from . import native
 
-        if isinstance(buf, array) and buf.typecode == "q":
-            return native.NativeView.from_array(buf)
-        return native.NativeView.from_buffer(buf)
-    return None
+    if isinstance(buf, array) and buf.typecode == "q":
+        return native.NativeView.from_array(buf)
+    return native.NativeView.from_buffer(buf)
 
 
 def _cache_of(graph):
@@ -50,30 +44,22 @@ def member_array(graph, labels):
     """Sorted ``int64`` array of ``graph.labels_member_set(labels)``.
 
     The sorted-unique shape is what the membership kernels binary-search
-    against.  Cached per (backend kind, label set) in the graph's shared
-    cache; returns None on the pure-Python backend.
+    against.  Cached per label set in the graph's shared cache; returns
+    None on the pure-Python backend.
     """
-    np = get_numpy()
-    lib = None if np is not None else get_native()
-    if np is None and lib is None:
+    if get_native() is None:
         return None
-    kind = "numpy" if np is not None else "c"
     labels = frozenset(labels)
     cache = _cache_of(graph)
-    key = ("kernels.members", kind, labels)
+    key = ("kernels.members", labels)
     if cache is not None:
         arr = cache.get(key)
         if arr is not None:
             return arr
-    members = graph.labels_member_set(labels)
-    if np is not None:
-        arr = np.fromiter(members, dtype=np.int64, count=len(members))
-        arr.sort()
-        arr.flags.writeable = False
-    else:
-        from . import native
+    from . import native
 
-        arr = native.NativeView.from_array(array("q", sorted(members)))
+    members = graph.labels_member_set(labels)
+    arr = native.NativeView.from_array(array("q", sorted(members)))
     if cache is not None:
         cache[key] = arr
     return arr
@@ -87,16 +73,13 @@ def pair_arrays(graph, label: int) -> Optional[Tuple[object, object]]:
     Returns None on the pure-Python backend or when the graph does not
     expose its pair buffers (dict-backed graphs).
     """
-    np = get_numpy()
-    lib = None if np is not None else get_native()
-    if np is None and lib is None:
+    if get_native() is None:
         return None
     buffers = getattr(graph, "edge_pair_buffers", None)
     if buffers is None:
         return None
-    kind = "numpy" if np is not None else "c"
     cache = _cache_of(graph)
-    key = ("kernels.pairs", kind, label)
+    key = ("kernels.pairs", label)
     if cache is not None:
         views = cache.get(key)
         if views is not None:

@@ -543,7 +543,7 @@ class HomomorphismCounter:
         """Decode a bitset into the ascending list of set-bit positions.
 
         Routed through the kernel layer: dense results decode via one
-        vectorized unpack, sparse ones via the bit-twiddling loop — the
+        native unpack, sparse ones via the bit-twiddling loop — the
         outputs are identical element for element.
         """
         return _kops.bits_to_list(bits, self.graph.num_vertices)

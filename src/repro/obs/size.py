@@ -1,9 +1,9 @@
 """Recursive in-memory sizer for summary structures.
 
 The paper's Table 3 scores techniques on "space" — the memory footprint
-of the off-line summary.  :func:`deep_sizeof` measures it without any
-dependency: a non-recursive traversal over containers and object
-dictionaries, counting every reachable object once.
+of the off-line summary.  :func:`deep_sizeof` measures it with a
+non-recursive traversal over containers and object dictionaries,
+counting every reachable object once.
 
 The result is an *estimate* (Python object overheads are interpreter
 specific, numpy buffers are counted via ``nbytes``) meant for relative
@@ -15,10 +15,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Iterable
 
-try:  # numpy is a hard dependency of the project, but stay defensive
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is always installed
-    _np = None
+import numpy as _np
 
 
 def deep_sizeof(obj: Any) -> int:
@@ -36,7 +33,7 @@ def deep_sizeof(obj: Any) -> int:
         if identity in seen:
             continue
         seen.add(identity)
-        if _np is not None and isinstance(current, _np.ndarray):
+        if isinstance(current, _np.ndarray):
             total += int(current.nbytes) + sys.getsizeof(current) - current.nbytes
             continue
         try:

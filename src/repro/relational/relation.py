@@ -150,7 +150,7 @@ class EdgeRelation(RelationInstance):
                        self.dst_labels)
                 cached = self._shared.get(key)
                 if cached is None:
-                    # one vectorized column mask over the whole pair
+                    # one native column mask over the whole pair
                     # arena instead of a per-edge membership loop; the
                     # kernel's Python twin is the exact comprehension
                     # this replaces
@@ -259,7 +259,7 @@ class EdgeRelation(RelationInstance):
                     dst_ok = self._dst_ok
                     targets = self.graph.out_neighbors(src, label)
                     if dst_ok is not None:
-                        # hub anchors get the vectorized membership mask;
+                        # hub anchors get the native membership mask;
                         # short segments fall through to the scalar twin
                         # inside the kernel
                         targets = _kops.filter_members(

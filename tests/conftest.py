@@ -20,9 +20,8 @@ try:  # property tests are skipped when hypothesis is unavailable
 except ImportError:  # pragma: no cover
     pass
 
-from repro.kernels import native_available, numpy_available
+from repro.kernels import native_available
 
-NUMPY_AVAILABLE = numpy_available()
 # native_available() compiles the shared object on the very first call
 # (a couple of seconds) and memoizes; CI and dev machines with a cached
 # .so pay only a load
@@ -32,42 +31,22 @@ NATIVE_AVAILABLE = native_available()
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "needs_numpy: test requires numpy (skipped on the no-numpy CI leg)",
-    )
-    config.addinivalue_line(
-        "markers",
         "needs_native: test requires the cc-compiled kernel backend "
         "(skipped when no C toolchain is available)",
     )
 
 
 def pytest_collection_modifyitems(config, items):
-    """Skip backend-specific tests on installs lacking that backend.
-
-    Two shapes are skipped when numpy is missing: tests marked
-    ``needs_numpy`` explicitly, and parametrized tests whose parameter
-    values include the ``"bs"`` technique (BoundSketch's sketch math is
-    numpy and the technique drops out of ``available_techniques()``).
-    Tests marked ``needs_native`` are skipped when the system has no
-    working C toolchain (the ``GCARE_KERNELS=c`` leg degrades there).
-    """
-    if not NATIVE_AVAILABLE:
-        skip_native = pytest.mark.skip(
-            reason="requires a C toolchain (the GCARE_KERNELS=c backend)"
-        )
-        for item in items:
-            if item.get_closest_marker("needs_native") is not None:
-                item.add_marker(skip_native)
-    if NUMPY_AVAILABLE:
+    """Skip ``needs_native`` tests when the system has no working C
+    toolchain (the default ``c`` kernel leg degrades to Python there)."""
+    if NATIVE_AVAILABLE:
         return
-    skip = pytest.mark.skip(reason="requires numpy (the [perf] extra)")
+    skip_native = pytest.mark.skip(
+        reason="requires a C toolchain (the GCARE_KERNELS=c backend)"
+    )
     for item in items:
-        if item.get_closest_marker("needs_numpy") is not None:
-            item.add_marker(skip)
-            continue
-        params = getattr(getattr(item, "callspec", None), "params", None)
-        if params and any(value == "bs" for value in params.values()):
-            item.add_marker(skip)
+        if item.get_closest_marker("needs_native") is not None:
+            item.add_marker(skip_native)
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ def named_query():
 
 
 class TestRunner:
-    @pytest.mark.needs_numpy
     def test_run_produces_record_per_technique_per_run(self, graph, named_query):
         runner = EvaluationRunner(
             graph, ["cset", "bs"], sampling_ratio=1.0, time_limit=10
@@ -49,7 +48,6 @@ class TestRunner:
         assert {r.technique for r in records} == {"cset", "bs"}
         assert {r.run for r in records} == {0, 1}
 
-    @pytest.mark.needs_numpy
     def test_prepare_records_times(self, graph):
         runner = EvaluationRunner(graph, ["cset", "bs"])
         times = runner.prepare()
@@ -381,7 +379,6 @@ class TestCliChaosSweep:
 
 
 class TestCliEstimate:
-    @pytest.mark.needs_numpy
     def test_estimate_roundtrip(self, tmp_path, capsys):
         from repro.datasets.example import figure1_graph, figure1_query
         from repro.graph.io import dump_graph, dump_query

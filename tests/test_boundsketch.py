@@ -3,10 +3,6 @@
 import random
 
 import pytest
-
-# BS's sketch math is numpy (the optional [perf] extra); the whole
-# module is skipped on the pure-Python fallback install
-pytestmark = pytest.mark.needs_numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -107,7 +107,6 @@ class TestSelfLoops:
         loop_query = QueryGraph([(0,)], [(0, 0, 0), (0, 0, 1)])
         assert count_embeddings(graph, loop_query).count == 1
 
-    @pytest.mark.needs_numpy
     def test_boundsketch_on_self_loop_query(self):
         graph = Graph()
         graph.add_vertex()

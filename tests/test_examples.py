@@ -23,13 +23,8 @@ class TestQuickstart:
         result = run_example("quickstart.py")
         assert result.returncode == 0, result.stderr
         assert "true cardinality: 3" in result.stdout
-        # every available technique produces a line (BS drops out of
-        # available_techniques() on the no-numpy fallback install)
-        from repro.kernels import numpy_available
-
-        expected = ["C-SET", "IMPR", "SumRDF", "CS", "WJ", "JSUB"]
-        if numpy_available():
-            expected.append("BS")
+        # every available technique produces a line
+        expected = ["C-SET", "IMPR", "SumRDF", "CS", "WJ", "JSUB", "BS"]
         for technique in expected:
             assert technique in result.stdout
 

@@ -117,7 +117,6 @@ class TestCSetIndependenceFailure:
         assert estimate > 0.0
 
 
-@pytest.mark.needs_numpy
 class TestBoundSketchLooseness:
     def test_hub_blows_up_the_bound(self):
         graph = hub_graph(50)

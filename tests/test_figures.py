@@ -25,7 +25,6 @@ class TestTable2:
             assert name in result.table
 
 
-@pytest.mark.needs_numpy
 class TestAccuracyGrouped:
     @pytest.fixture(scope="class")
     def small_result(self):
@@ -58,7 +57,6 @@ class TestAccuracyGrouped:
             assert "size" in record.groups
 
 
-@pytest.mark.needs_numpy
 class TestAccuracyGroupedParallel:
     def test_workers_reproduce_serial_records(self):
         kwargs = dict(
@@ -110,7 +108,6 @@ class TestEfficiency:
 
 
 class TestPlanQualityFigure:
-    @pytest.mark.needs_numpy
     def test_lubm_only_study(self):
         result = figures.fig11_plan_quality(
             techniques=("cset", "bs"),
@@ -147,7 +144,6 @@ class TestWorkloadMemoization:
 
 
 class TestSignedChartInFigures:
-    @pytest.mark.needs_numpy
     def test_accuracy_table_contains_chart(self):
         result = figures.accuracy_grouped(
             "TEST2",

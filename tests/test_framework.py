@@ -159,18 +159,9 @@ class TestResult:
 
 class TestRegistry:
     def test_available_techniques_in_paper_order(self):
-        from repro.kernels import numpy_available
-
         expected = ["cset", "impr", "sumrdf", "cs", "wj", "jsub", "bs"]
         assert list(ALL_TECHNIQUES) == expected
-        if numpy_available():
-            assert available_techniques() == expected
-        else:
-            # BoundSketch's sketch math is numpy; the technique drops
-            # out on the pure-Python fallback install
-            assert available_techniques() == [
-                n for n in expected if n != "bs"
-            ]
+        assert available_techniques() == expected
 
     def test_create_each_technique(self, graph):
         for name in available_techniques():

@@ -376,7 +376,6 @@ class TestSummaryDifferential:
         "backend",
         [
             "python",
-            pytest.param("numpy", marks=pytest.mark.needs_numpy),
             pytest.param("c", marks=pytest.mark.needs_native),
         ],
     )

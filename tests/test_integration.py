@@ -72,7 +72,6 @@ class TestPaperShapes:
         median = sorted(r.qerror for r in wj)[len(wj) // 2]
         assert median < 3.0
 
-    @pytest.mark.needs_numpy
     def test_boundsketch_never_underestimates(self, lubm_records):
         bs = [r for r in lubm_records if r.technique == "bs" and not r.failed]
         assert bs

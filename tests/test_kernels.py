@@ -1,9 +1,9 @@
-"""Differential harness for the vectorized CSR kernels (repro.kernels).
+"""Differential harness for the CSR kernels (repro.kernels).
 
 The kernel contract is *bit-identical dispatch*: every kernel has a
-numpy path and a pure-Python twin, selected by ``GCARE_KERNELS`` /
-:func:`~repro.kernels.force_backend`, and the two must be
-indistinguishable through every consumer.  Four layers pin it:
+native (``c``) path and a pure-Python twin, selected by
+``GCARE_KERNELS`` / :func:`~repro.kernels.force_backend`, and the two
+must be indistinguishable through every consumer.  Four layers pin it:
 
 * **technique differential** — every registered technique (paper set
   plus extensions) estimates on the Figure-1 example and a 10x-scaled
@@ -55,30 +55,27 @@ from repro.kernels import (
     filter_members_multi,
     filter_pairs,
     force_backend,
-    gather_pairs,
     interleave_pairs,
     intersect_sorted,
     member_array,
-    numpy_available,
     pack_bits,
-    pack_bits_from_set,
     pair_arrays,
     refresh_env,
 )
+from repro.kernels.native import NativeView
 from repro.matching.homomorphism import count_embeddings
 from repro.obs import traced
 
 QUERY = figure1_query()
 
-#: both dispatch targets when numpy is installed; on the no-numpy leg
-#: force_backend("numpy") degrades to python, so comparisons there are
-#: vacuous and the cross-backend tests carry ``needs_numpy``
-BACKENDS = ("python", "numpy")
+#: without a toolchain force_backend("c") degrades to python, so
+#: comparisons there are vacuous and the cross-backend tests carry
+#: ``needs_native``
+needs_native = pytest.mark.needs_native
 
-#: every registered technique: the paper's seven (minus BS on a
-#: no-numpy install) plus the extensions — tc/bernoulli exercise the
-#: sealed matcher, so their ``match.backtrack_steps`` counters pin the
-#: search loop itself
+#: every registered technique: the paper's seven plus the extensions —
+#: tc/bernoulli exercise the sealed matcher, so their
+#: ``match.backtrack_steps`` counters pin the search loop itself
 DIFFERENTIAL_TECHNIQUES = tuple(available_techniques()) + tuple(EXTENSIONS)
 
 
@@ -116,12 +113,11 @@ def backends_under_test():
 
     The ``c`` leg joins automatically when a toolchain is present, so
     all the property tests below cross every native kernel boundary
-    with the exact same inputs as the numpy/python twins.
+    with the exact same inputs as the python twins.
     """
-    backends = ("python",) + (BACKENDS[1:] if numpy_available() else ())
     if kernels.native_available():
-        backends = backends + ("c",)
-    return backends
+        return ("python", "c")
+    return ("python",)
 
 
 def run_traced_estimate(name: str, backend: str, graph):
@@ -142,9 +138,9 @@ def run_traced_estimate(name: str, backend: str, graph):
 
 
 # ---------------------------------------------------------------------------
-# technique differential: numpy == python, bit for bit
+# technique differential: c == python, bit for bit
 # ---------------------------------------------------------------------------
-@pytest.mark.needs_numpy
+@needs_native
 @pytest.mark.parametrize("scale", sorted(GRAPH_BUILDERS))
 @pytest.mark.parametrize("name", DIFFERENTIAL_TECHNIQUES)
 def test_every_technique_bit_identical_across_backends(name, scale):
@@ -162,7 +158,7 @@ def test_every_technique_bit_identical_across_backends(name, scale):
         assert outcomes[backend] == outcomes["python"], backend
 
 
-@pytest.mark.needs_numpy
+@needs_native
 @pytest.mark.parametrize("scale", sorted(GRAPH_BUILDERS))
 def test_matcher_counts_and_steps_identical_across_backends(scale):
     graph = GRAPH_BUILDERS[scale]()
@@ -182,7 +178,7 @@ def test_matcher_counts_and_steps_identical_across_backends(scale):
 def test_estimates_stable_across_repeated_seals():
     """Two seals of the same digraph agree under the *active* backend —
     the determinism half of the contract, meaningful on every install
-    (including the no-numpy leg, where it pins the pure-Python twins)."""
+    (including the python leg, where it pins the pure-Python twins)."""
     graph = figure1_graph()
     for name in ("wj", "jsub", "impr", "cs"):
         first, first_counters = run_traced_estimate(
@@ -203,10 +199,10 @@ shm_required = pytest.mark.skipif(
 )
 
 
-@pytest.mark.needs_numpy
+@needs_native
 @shm_required
 def test_shm_attached_views_alias_segments_and_match_local_seal():
-    with force_backend("numpy"):
+    with force_backend("c"):
         sealed = scaled_graph().seal()
         handle, ref = sealed.to_shm()
         try:
@@ -215,9 +211,11 @@ def test_shm_attached_views_alias_segments_and_match_local_seal():
             # and nothing may write through them
             views = pair_arrays(attached, EDGE_A)
             assert views is not None
-            for view in views:
-                assert view.flags.owndata is False
-                assert view.flags.writeable is False
+            for view, raw in zip(views, attached.edge_pair_buffers(EDGE_A)):
+                assert raw.readonly
+                assert view.addr == NativeView.from_buffer(raw).addr
+                with pytest.raises(TypeError):
+                    view[0] = 0
             members = member_array(attached, (LABEL_A,))
             assert members is not None
             assert members.tolist() == sorted(
@@ -267,7 +265,7 @@ def _comparable(record):
     )
 
 
-@pytest.mark.needs_numpy
+@needs_native
 @shm_required
 def test_traced_sweep_identical_across_transport_and_backends(tmp_path):
     """serial == parallel(shm) == resumed under ``--trace``, per backend
@@ -322,29 +320,33 @@ def test_traced_sweep_identical_across_transport_and_backends(tmp_path):
 # ---------------------------------------------------------------------------
 # view primitives
 # ---------------------------------------------------------------------------
-@pytest.mark.needs_numpy
+@needs_native
 def test_as_int64_aliases_the_arena_without_copying():
     arena = array("q", [5, -3, 0, 2**40])
-    with force_backend("numpy"):
+    with force_backend("c"):
         view = as_int64(arena)
     assert view.tolist() == [5, -3, 0, 2**40]
-    assert view.flags.owndata is False
-    assert view.flags.writeable is False
+    assert view.addr == arena.buffer_info()[0]
+    with pytest.raises(TypeError):
+        view[0] = 0
     arena[1] = 77  # the view aliases, so the write shows through
     assert view[1] == 77
 
 
 def test_views_return_none_on_python_backend():
+    sealed = figure1_graph().seal()
+    # views cached by the default leg are never served to the python twins
+    member_array(sealed, (LABEL_A,))
+    pair_arrays(sealed, EDGE_A)
     with force_backend("python"):
         assert as_int64(array("q", [1, 2])) is None
-        sealed = figure1_graph().seal()
         assert member_array(sealed, (LABEL_A,)) is None
         assert pair_arrays(sealed, EDGE_A) is None
 
 
-@pytest.mark.needs_numpy
+@needs_native
 def test_member_and_pair_views_are_cached_per_graph():
-    with force_backend("numpy"):
+    with force_backend("c"):
         sealed = figure1_graph().seal()
         assert member_array(sealed, (LABEL_A,)) is member_array(
             sealed, (LABEL_A,)
@@ -356,7 +358,7 @@ def test_member_and_pair_views_are_cached_per_graph():
 # hypothesis properties: random CSR fragments + the seed-stream contract
 # ---------------------------------------------------------------------------
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 #: vertex-id domain wide enough to cross SMALL_INPUT (24) and
 #: SMALL_BITS (64) thresholds, narrow enough to force duplicates
@@ -371,37 +373,21 @@ CANDIDATES = st.lists(VERTEX, max_size=100)
 PAIRS = st.lists(st.tuples(VERTEX, VERTEX), max_size=80)
 
 
-def _member_arr(np, domain):
-    """The sorted membership domain in the active backend's array shape."""
-    if np is not None:
-        arr = np.fromiter(sorted(domain), dtype=np.int64, count=len(domain))
-        arr.flags.writeable = False
-        return arr
-    if kernels.get_native() is not None:
-        from repro.kernels.native import NativeView
-
-        return NativeView.from_array(array("q", sorted(domain)))
-    return None
+def _member_arr(domain):
+    """The sorted membership domain as a native view (None on python)."""
+    if kernels.get_native() is None:
+        return None
+    return NativeView.from_array(array("q", sorted(domain)))
 
 
-def _pair_cols(np, pairs):
-    """Pair columns in the active backend's array shape (None on python)."""
-    if np is not None:
-        src = np.fromiter(
-            (s for s, _ in pairs), dtype=np.int64, count=len(pairs)
-        )
-        dst = np.fromiter(
-            (d for _, d in pairs), dtype=np.int64, count=len(pairs)
-        )
-        return src, dst
-    if kernels.get_native() is not None:
-        from repro.kernels.native import NativeView
-
-        return (
-            NativeView.from_array(array("q", (s for s, _ in pairs))),
-            NativeView.from_array(array("q", (d for _, d in pairs))),
-        )
-    return None
+def _pair_cols(pairs):
+    """Pair columns as native views (None on python)."""
+    if kernels.get_native() is None:
+        return None
+    return (
+        NativeView.from_array(array("q", (s for s, _ in pairs))),
+        NativeView.from_array(array("q", (d for _, d in pairs))),
+    )
 
 
 @given(a=ADJACENCY, b=ADJACENCY)
@@ -418,8 +404,7 @@ def test_filter_and_count_members_agree_across_backends(values, domain):
     expected = [v for v in values if v in domain]
     for backend in backends_under_test():
         with force_backend(backend):
-            np = kernels.get_numpy()
-            arr = _member_arr(np, domain)
+            arr = _member_arr(domain)
             assert filter_members(values, domain, arr) == expected
             assert count_members(values, domain, arr) == len(expected)
 
@@ -432,8 +417,7 @@ def test_filter_members_multi_agrees_across_backends(values, domains):
     expected = [v for v in values if all(v in d for d in domains)]
     for backend in backends_under_test():
         with force_backend(backend):
-            np = kernels.get_numpy()
-            arrs = [_member_arr(np, d) for d in domains]
+            arrs = [_member_arr(d) for d in domains]
             if arrs[0] is None:
                 arrs = None
             assert filter_members_multi(values, domains, arrs) == expected
@@ -453,14 +437,13 @@ def test_filter_pairs_agrees_across_backends(pairs, src_domain, dst_domain):
     ]
     for backend in backends_under_test():
         with force_backend(backend):
-            np = kernels.get_numpy()
             src_arr = dst_arr = None
-            arrays = _pair_cols(np, pairs)
+            arrays = _pair_cols(pairs)
             if arrays is not None:
                 if src_domain is not None:
-                    src_arr = _member_arr(np, src_domain)
+                    src_arr = _member_arr(src_domain)
                 if dst_domain is not None:
-                    dst_arr = _member_arr(np, dst_domain)
+                    dst_arr = _member_arr(dst_domain)
             assert (
                 filter_pairs(
                     pairs,
@@ -481,7 +464,6 @@ def test_pack_bits_round_trips_across_backends(values, pad):
     for backend in backends_under_test():
         with force_backend(backend):
             bits = pack_bits(values, nbits)
-            assert pack_bits_from_set(frozenset(values), nbits) == bits
             assert bits_to_list(bits, nbits) == sorted(values)
             packed[backend] = bits
     assert len(set(packed.values())) == 1
@@ -492,8 +474,7 @@ def test_interleave_pairs_agrees_across_backends(pairs):
     expected = [x for pair in pairs for x in pair]
     for backend in backends_under_test():
         with force_backend(backend):
-            np = kernels.get_numpy()
-            arrays = _pair_cols(np, pairs)
+            arrays = _pair_cols(pairs)
             assert interleave_pairs(pairs, arrays) == expected
             # the `out` accumulator appends after an existing prefix
             out = [-1, -2]
@@ -518,16 +499,3 @@ def test_draw_indices_consumes_the_scalar_rng_stream(n, k, seed):
     assert batch == scalar
     assert all(0 <= i < n for i in batch)
     assert batched_rng.getstate() == scalar_rng.getstate()
-
-
-@given(pairs=PAIRS, seed=st.integers(min_value=0, max_value=2**16))
-@settings(max_examples=30)
-def test_gather_pairs_returns_the_drawn_tuples(pairs, seed):
-    if not pairs:
-        assert gather_pairs(pairs, []) == []
-        return
-    rng = random.Random(seed)
-    indices = draw_indices(rng, len(pairs), 16)
-    for backend in backends_under_test():
-        with force_backend(backend):
-            assert gather_pairs(pairs, indices) == [pairs[i] for i in indices]

@@ -1,14 +1,15 @@
 """The native (``GCARE_KERNELS=c``) backend's own contract tests.
 
-The three-way differential suites live in ``tests/test_kernels.py`` and
-``tests/test_serve.py`` — every backend that can dispatch on this
+The python-vs-c differential suites live in ``tests/test_kernels.py``
+and ``tests/test_serve.py`` — every backend that can dispatch on this
 install, including ``c``, runs through those automatically.  This module
 covers what only the native leg has: the compile-and-cache lifecycle of
 the shared object (atomic publication under concurrent first use, stale
 artifact cleanup, ``GCARE_NATIVE_CACHE`` override for read-only homes),
-graceful degradation when the toolchain is missing, the native search
-kernel engaging on shm-attached arenas, and the ``kernel.backend``
-observability surface.
+how the ``GCARE_KERNELS`` switch resolves (``c`` by default, graceful
+degradation when the toolchain is missing, unknown values ignored with
+a note), the native search kernel engaging on shm-attached arenas, and
+the ``kernel.backend`` observability surface.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from repro.core.registry import create_estimator
 from repro.datasets.example import figure1_graph, figure1_query
 from repro.graph.compact import CompactGraph
 from repro.kernels import (
+    KERNELS_ENV,
     active_backend,
     fallback_note,
     force_backend,
     native_available,
+    refresh_env,
 )
 from repro.kernels import native
 from repro.matching.homomorphism import HomomorphismCounter
@@ -56,6 +59,26 @@ def native_env(tmp_path, monkeypatch):
     native.reset_for_tests()
     yield cache
     native.reset_for_tests()
+
+
+@pytest.fixture
+def kernels_env(monkeypatch):
+    """Set (or, with None, unset) ``GCARE_KERNELS`` for one test.
+
+    The switch is read once at import, so it is re-read after setting
+    it and again once the monkeypatch restores the original value.
+    """
+
+    def set_switch(value):
+        if value is None:
+            monkeypatch.delenv(KERNELS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(KERNELS_ENV, value)
+        refresh_env()
+
+    yield set_switch
+    monkeypatch.undo()
+    refresh_env()
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +139,41 @@ def test_concurrent_first_compiles_race_safely(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# degradation without a toolchain
+# resolving the switch: c by default, degradation without a toolchain
 # ---------------------------------------------------------------------------
+@needs_native
+def test_unset_switch_resolves_to_c(kernels_env):
+    kernels_env(None)
+    assert active_backend() == "c"
+    assert fallback_note() is None
+
+
+@needs_native
+def test_retired_numpy_value_resolves_like_unset_with_a_note(kernels_env):
+    kernels_env("numpy")
+    assert active_backend() == "c"
+    note = fallback_note()
+    assert note is not None and "'numpy'" in note
+
+
+def test_force_backend_rejects_unknown_names():
+    with pytest.raises(ValueError):
+        with force_backend("numpy"):
+            pass
+
+
+def test_missing_compiler_resolves_unset_switch_to_python(
+    native_env, kernels_env, monkeypatch
+):
+    monkeypatch.setenv("GCARE_CC", str(native_env / "no-such-cc"))
+    kernels_env(None)
+    native.reset_for_tests()
+    assert active_backend() == "python"
+    note = fallback_note()
+    assert note is not None and "compile failed" in note
+    assert "pure-Python fallback" in note
+
+
 def test_missing_compiler_degrades_silently(native_env, monkeypatch):
     monkeypatch.setenv("GCARE_CC", str(native_env / "no-such-cc"))
     native.reset_for_tests()
@@ -125,8 +181,8 @@ def test_missing_compiler_degrades_silently(native_env, monkeypatch):
     assert not native_available()
     assert "compile failed" in (native.fallback_reason() or "")
     with force_backend("c"):
-        # the request degrades to the best available leg, never errors
-        assert active_backend() in ("numpy", "python")
+        # the request degrades to the reference leg, never errors
+        assert active_backend() == "python"
         note = fallback_note()
         assert note is not None and "fallback" in note
         estimator = create_estimator(

@@ -129,7 +129,6 @@ class TestExecutor:
         )
 
 
-@pytest.mark.needs_numpy
 class TestStudy:
     def test_study_produces_record_per_query_per_technique(self, graph):
         study = PlanQualityStudy(graph)

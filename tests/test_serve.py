@@ -21,7 +21,7 @@ import pytest
 from repro.bench.runner import NamedQuery, run_cell
 from repro.core.registry import ALL_TECHNIQUES, available_techniques, create_estimator
 from repro.datasets.example import figure1_graph, figure1_query
-from repro.kernels import force_backend, native_available, numpy_available
+from repro.kernels import force_backend, native_available
 from repro.serve import (
     EstimationService,
     ResultCache,
@@ -34,7 +34,7 @@ SEED = 11
 SAMPLING_RATIO = 0.03
 TIME_LIMIT = 10.0
 
-BACKENDS = ["python", "numpy", "c"]
+BACKENDS = ["python", "c"]
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
@@ -47,8 +47,6 @@ def backend_service(request):
     fixture's whole lifetime).
     """
     backend = request.param
-    if backend == "numpy" and not numpy_available():
-        pytest.skip("numpy backend requires numpy")
     if backend == "c" and not native_available():
         pytest.skip("c backend requires a working C toolchain")
     with force_backend(backend):

@@ -25,8 +25,8 @@ from repro.core.registry import EXTENSIONS, available_techniques, create_estimat
 from repro.datasets.example import figure1_graph, figure1_query
 from repro.obs import HOOK_SPANS, Trace, TraceCollector, traced
 
-# available (not ALL): hypothesis draws technique names directly, so the
-# no-numpy leg must not sample BoundSketch
+# hypothesis draws technique names directly: the paper's seven plus the
+# extensions
 EVERY_TECHNIQUE = tuple(available_techniques()) + tuple(EXTENSIONS)
 
 GRAPH = figure1_graph()

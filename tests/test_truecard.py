@@ -26,7 +26,6 @@ class TestTrueCardinality:
         with pytest.raises(EstimationTimeout):
             tc.estimate(fig1_query)
 
-    @pytest.mark.needs_numpy
     def test_works_in_evaluation_runner(self, fig1_graph, fig1_query):
         from repro.bench.runner import EvaluationRunner, NamedQuery
 
